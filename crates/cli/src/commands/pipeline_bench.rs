@@ -8,10 +8,13 @@
 //! recommendation lists), so the bench doubles as an integration-level
 //! equivalence test. Stage times are the minimum over `--reps` runs
 //! (default 2), which filters first-touch page faults and scheduler
-//! noise on small shared machines. Results are written as a
-//! `BENCH_pipeline.json` trajectory artifact so perf PRs are measured,
-//! not asserted; the artifact's shape is enforced by `socialrec
-//! validate-bench` in CI.
+//! noise on small shared machines. Each retained shipping formulation
+//! of a similarity measure is also timed against the formulation it
+//! superseded (`formulations`), so an "optimized" path that is slower
+//! than the code it replaced shows up in the artifact. Results are
+//! written as a `BENCH_pipeline.json` trajectory artifact so perf PRs
+//! are measured, not asserted; the artifact's shape is enforced by
+//! `socialrec validate-bench` in CI.
 
 use crate::commands::trace::TraceSink;
 use socialrec_community::{Louvain, LouvainResult};
@@ -28,7 +31,9 @@ use socialrec_graph::{SocialGraph, UserId};
 use socialrec_serve::kernel::{utilities_block_tiled, ITEM_TILE, USER_BLOCK};
 use socialrec_serve::{RecommendationServer, SimMassIndex};
 use socialrec_simd::Isa;
-use socialrec_similarity::{parse_measure, Similarity, SimilarityMatrix};
+use socialrec_similarity::{
+    parse_measure, GraphDistance, Katz, SimScratch, Similarity, SimilarityMatrix,
+};
 use std::time::Instant;
 
 /// Minimum per-kernel speedup the SIMD acceptance gate demands on an
@@ -97,6 +102,26 @@ struct SimdKernel {
 }
 
 impl_to_json!(SimdKernel { kernel, scalar_ms, simd_ms, speedup });
+
+/// Rows each `formulations` entry computes per timing: an even sample
+/// of the population, because the superseded Katz formulations cost
+/// seconds per thousand rows at the default scale.
+const FORMULATION_ROWS: usize = 256;
+
+/// One retained shipping formulation of a similarity measure, timed
+/// against the formulation it superseded on the same sampled rows in
+/// the same process (one thread each, min over reps). `speedup` above 1
+/// means the shipping path is faster.
+struct Formulation {
+    formulation: String,
+    superseded: String,
+    rows: usize,
+    shipping_ms: f64,
+    superseded_ms: f64,
+    speedup: f64,
+}
+
+impl_to_json!(Formulation { formulation, superseded, rows, shipping_ms, superseded_ms, speedup });
 
 /// The run's SIMD dispatch record: what the CPU supports, what tier the
 /// kernels actually ran on, any `SOCIALREC_SIMD` override, and the
@@ -189,6 +214,8 @@ struct Report {
     privacy: PrivacyReport,
     /// SIMD dispatch + per-kernel scalar-vs-SIMD attribution.
     simd: SimdReport,
+    /// Shipping vs superseded similarity formulations.
+    formulations: Vec<Formulation>,
     /// `--tune` sweep (`null` when the flag was not given).
     tune: Option<TuneReport>,
     /// Per-span aggregates for the whole run (always present).
@@ -221,6 +248,7 @@ impl_to_json!(Report {
     serve_metrics,
     privacy,
     simd,
+    formulations,
     tune,
     hotspots,
     memory,
@@ -274,14 +302,14 @@ pub fn run(args: &Args) -> Result<(), String> {
     let num_users = ds.social.num_users();
     eprintln!("  {} users, {} items, {threads} threads", num_users, ds.prefs.num_items());
 
-    // Stage 1 — similarity build. The two-pass parallel CSR assembly
-    // must reproduce the sequential row-major build bit for bit.
+    // Stage 1 — similarity build. The parallel row build must
+    // reproduce the sequential one bit for bit.
     eprintln!("sim-build: sequential {} reference x{reps}...", measure.name());
     let (sim_seq, sim_seq_ms) =
         timed_min(reps, || SimilarityMatrix::build_sequential(&ds.social, measure.as_ref()));
     eprintln!("  {sim_seq_ms:.0} ms ({} entries)", sim_seq.num_entries());
 
-    eprintln!("sim-build: two-pass parallel CSR assembly x{reps}...");
+    eprintln!("sim-build: parallel rows x{reps}...");
     let (sim, sim_par_ms) =
         timed_min(reps, || SimilarityMatrix::build(&ds.social, measure.as_ref()));
     eprintln!("  {sim_par_ms:.0} ms");
@@ -375,13 +403,13 @@ pub fn run(args: &Args) -> Result<(), String> {
     eprintln!("  {recommend_par_ms:.0} ms ({} lists)", par_lists.len());
     check_recommend_equivalence(&seq_lists, &par_lists)?;
 
-    // SIMD attribution: re-run the two dominant kernels scalar-forced
-    // and on the dispatched tier, in this same process, asserting
-    // bit-identity between the two (the §6d contract at bench scale).
+    // SIMD attribution: re-run the serving kernel scalar-forced and on
+    // the dispatched tier, in this same process, asserting bit-identity
+    // between the two (the §6d contract at bench scale).
     let index = socialrec_serve::SimMassIndex::build(&sim, &partition);
     let averages = fw.noisy_cluster_averages(&inputs, seed);
-    let simd =
-        simd_attribution(&ds.social, measure.as_ref(), &averages, &index, &users, reps, smoke)?;
+    let simd = simd_attribution(&averages, &index, &users, reps, smoke)?;
+    let formulations = formulation_baselines(&ds.social, reps)?;
 
     // `--tune`: sweep the blocked kernel's ITEM_TILE × USER_BLOCK grid
     // over the full user population and record the winner.
@@ -474,6 +502,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         serve_metrics,
         privacy,
         simd,
+        formulations,
         tune,
         hotspots,
         memory: socialrec_obs::sample_memory(),
@@ -503,6 +532,12 @@ pub fn run(args: &Args) -> Result<(), String> {
         println!(
             "    {:<14}: {:>8.0} ms scalar  {:>8.0} ms simd  ({:.2}x)",
             k.kernel, k.scalar_ms, k.simd_ms, k.speedup
+        );
+    }
+    for f in &report.formulations {
+        println!(
+            "  {:<17}: {:>8.1} ms  vs {} {:>8.1} ms  ({:.2}x, {} rows)",
+            f.formulation, f.shipping_ms, f.superseded, f.superseded_ms, f.speedup, f.rows
         );
     }
     println!("  wrote {out_path}");
@@ -535,13 +570,13 @@ pub fn run(args: &Args) -> Result<(), String> {
 
 fn check_sim_equivalence(seq: &SimilarityMatrix, par: &SimilarityMatrix) -> Result<(), String> {
     if seq.num_users() != par.num_users() || seq.num_entries() != par.num_entries() {
-        return Err("two-pass similarity build changed the matrix shape".to_string());
+        return Err("parallel similarity build changed the matrix shape".to_string());
     }
     for u in 0..seq.num_users() as u32 {
         let (vs, ss) = seq.row(UserId(u));
         let (vp, sp) = par.row(UserId(u));
         if vs != vp || ss.iter().zip(sp).any(|(a, b)| a.to_bits() != b.to_bits()) {
-            return Err(format!("two-pass similarity row {u} differs from the sequential build"));
+            return Err(format!("parallel similarity row {u} differs from the sequential build"));
         }
     }
     Ok(())
@@ -583,14 +618,13 @@ fn check_recommend_equivalence(seq: &[TopN], par: &[TopN]) -> Result<(), String>
     Ok(())
 }
 
-/// Kernel-level SIMD attribution: re-run the two dominant vectorized
-/// kernels scalar-forced and on the run's dispatched tier, in this same
-/// process via `socialrec_simd::force`, timing both and asserting
-/// bit-identity between them (the DESIGN.md §6d contract exercised at
-/// bench scale). The active tier is restored before returning.
+/// Kernel-level SIMD attribution: re-run the blocked serving kernel
+/// scalar-forced and on the run's dispatched tier, in this same process
+/// via `socialrec_simd::force`, timing both and asserting bit-identity
+/// between them (the DESIGN.md §6d contract exercised at bench scale).
+/// The active tier is restored before returning. (The CN build runs no
+/// SIMD kernel, so timing it here would time the same code twice.)
 fn simd_attribution(
-    social: &SocialGraph,
-    measure: &dyn Similarity,
     averages: &NoisyClusterAverages,
     index: &SimMassIndex,
     users: &[UserId],
@@ -600,20 +634,8 @@ fn simd_attribution(
     let prior = socialrec_simd::active();
     let detected = socialrec_simd::detected();
 
-    // Kernel 1 — sim-build: the sorted-adjacency intersection kernels
-    // (CN counting / AA weight sums, block-compare + galloping).
-    eprintln!("simd: sim-build scalar-forced vs {} x{reps}...", prior.name());
-    socialrec_simd::force(Isa::Scalar);
-    let (sim_scalar, sim_scalar_ms) = timed_min(reps, || SimilarityMatrix::build(social, measure));
-    socialrec_simd::force(prior);
-    let (sim_simd, sim_simd_ms) = timed_min(reps, || SimilarityMatrix::build(social, measure));
-    check_sim_equivalence(&sim_scalar, &sim_simd)
-        .map_err(|e| format!("scalar-forced vs {} sim-build: {e}", prior.name()))?;
-    drop((sim_scalar, sim_simd));
-    eprintln!("  {sim_scalar_ms:.0} ms scalar, {sim_simd_ms:.0} ms {}", prior.name());
-
-    // Kernel 2 — recommend-axpy: the blocked serving kernel over every
-    // user at the compiled-in tile/block geometry.
+    // recommend-axpy: the blocked serving kernel over every user at
+    // the compiled-in tile/block geometry.
     eprintln!("simd: recommend-axpy scalar-forced vs {} x{reps}...", prior.name());
     let mut out = Vec::new();
     socialrec_simd::force(Isa::Scalar);
@@ -652,20 +674,12 @@ fn simd_attribution(
     }
     socialrec_simd::force(prior);
 
-    let kernels = vec![
-        SimdKernel {
-            kernel: "sim-build".to_string(),
-            scalar_ms: sim_scalar_ms,
-            simd_ms: sim_simd_ms,
-            speedup: sim_scalar_ms / sim_simd_ms.max(1e-9),
-        },
-        SimdKernel {
-            kernel: "recommend-axpy".to_string(),
-            scalar_ms: axpy_scalar_ms,
-            simd_ms: axpy_simd_ms,
-            speedup: axpy_scalar_ms / axpy_simd_ms.max(1e-9),
-        },
-    ];
+    let kernels = vec![SimdKernel {
+        kernel: "recommend-axpy".to_string(),
+        scalar_ms: axpy_scalar_ms,
+        simd_ms: axpy_simd_ms,
+        speedup: axpy_scalar_ms / axpy_simd_ms.max(1e-9),
+    }];
     // The gate binds only where vector hardware is both present and in
     // use: a smoke run is too small to time, and a `SOCIALREC_SIMD`
     // downgrade is an explicit request to not run vectorized.
@@ -679,6 +693,75 @@ fn simd_attribution(
         gate_bound,
         gate_met,
     })
+}
+
+/// A similarity-set formulation: `(graph, user, scratch, out)`.
+type RowFn<'a> = &'a dyn Fn(&SocialGraph, UserId, &mut SimScratch, &mut Vec<(UserId, f64)>);
+
+/// The rows of `sample` under formulation `f`, on one thread.
+fn sample_rows(social: &SocialGraph, sample: &[UserId], f: RowFn) -> Vec<Vec<(UserId, f64)>> {
+    let mut scratch = SimScratch::new(social.num_users());
+    let mut row = Vec::new();
+    sample
+        .iter()
+        .map(|&u| {
+            f(social, u, &mut scratch, &mut row);
+            row.clone()
+        })
+        .collect()
+}
+
+/// Time every retained shipping formulation against the one it
+/// superseded on an even sample of [`FORMULATION_ROWS`] users, and check
+/// that the two agree: Graph Distance bit for bit, Katz on support and
+/// walk counts with scores within 1e-12 relative (the intersection path
+/// rounds `α^l · Σ c` once where the scatter walk rounds every term).
+fn formulation_baselines(social: &SocialGraph, reps: usize) -> Result<Vec<Formulation>, String> {
+    let n = social.num_users();
+    let sample: Vec<UserId> =
+        (0..n as u32).step_by(n.div_ceil(FORMULATION_ROWS).max(1)).map(UserId).collect();
+    let (katz, gd) = (Katz::default(), GraphDistance::default());
+    let pairs: [(&str, &str, RowFn, RowFn, f64); 2] = [
+        (
+            "katz-intersection",
+            "katz-scatter",
+            &|g, u, s, o| katz.similarity_set(g, u, s, o),
+            &|g, u, s, o| katz.similarity_set_scatter(g, u, s, o),
+            1e-12,
+        ),
+        (
+            "gd-gather",
+            "gd-scalar",
+            &|g, u, s, o| gd.similarity_set(g, u, s, o),
+            &|g, u, s, o| gd.similarity_set_scalar(g, u, s, o),
+            0.0,
+        ),
+    ];
+    let mut out = Vec::with_capacity(pairs.len());
+    for (formulation, superseded, shipping, old, rel_tol) in pairs {
+        eprintln!("formulations: {formulation} vs {superseded}, {} rows x{reps}...", sample.len());
+        let (new_rows, shipping_ms) = timed_min(reps, || sample_rows(social, &sample, shipping));
+        let (old_rows, superseded_ms) = timed_min(reps, || sample_rows(social, &sample, old));
+        eprintln!("  {shipping_ms:.1} ms vs {superseded_ms:.1} ms");
+        for ((a, b), &u) in new_rows.iter().zip(&old_rows).zip(&sample) {
+            let agree = a.len() == b.len()
+                && a.iter().zip(b).all(|(&(av, as_), &(bv, bs))| {
+                    av == bv && (as_.to_bits() == bs.to_bits() || (as_ - bs).abs() <= rel_tol * bs)
+                });
+            if !agree {
+                return Err(format!("{formulation} row {u:?} disagrees with {superseded}"));
+            }
+        }
+        out.push(Formulation {
+            formulation: formulation.to_string(),
+            superseded: superseded.to_string(),
+            rows: sample.len(),
+            shipping_ms,
+            superseded_ms,
+            speedup: superseded_ms / shipping_ms.max(1e-9),
+        });
+    }
+    Ok(out)
 }
 
 /// The `--tune` sweep: time the blocked serving kernel over the full
@@ -761,8 +844,11 @@ mod tests {
             "\"active\"",
             "\"requested\"",
             "\"kernels\"",
-            "\"sim-build\"",
             "\"recommend-axpy\"",
+            "\"formulations\"",
+            "\"katz-intersection\"",
+            "\"gd-gather\"",
+            "\"superseded_ms\"",
             "\"gate_bound\"",
             "\"gate_met\"",
             "\"tune\"",

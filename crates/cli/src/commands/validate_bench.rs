@@ -21,7 +21,7 @@ const REQUIRED_STAGES: [&str; 4] = ["sim-build", "cluster", "release", "recommen
 /// Top-level keys every pipeline artifact must carry. `memory` is the
 /// process-memory sample (`null` off Linux, but the key must exist so
 /// thinning the report is loud).
-const REQUIRED_KEYS: [&str; 11] = [
+const REQUIRED_KEYS: [&str; 12] = [
     "\"stages\"",
     "\"threads\"",
     "\"end_to_end_speedup\"",
@@ -30,10 +30,19 @@ const REQUIRED_KEYS: [&str; 11] = [
     "\"serve_metrics\"",
     "\"privacy\"",
     "\"simd\"",
+    "\"formulations\"",
     "\"tune\"",
     "\"hotspots\"",
     "\"memory\"",
 ];
+
+/// Shipping formulations the pipeline `formulations` block must time
+/// against the formulation each superseded.
+const REQUIRED_FORMULATIONS: [&str; 2] = ["katz-intersection", "gd-gather"];
+
+/// Per-entry fields of the pipeline `formulations` block.
+const REQUIRED_FORMULATION_KEYS: [&str; 5] =
+    ["\"superseded\"", "\"rows\"", "\"shipping_ms\"", "\"superseded_ms\"", "\"speedup\""];
 
 /// Fields every artifact's `simd` dispatch record must carry (the
 /// pipeline artifact's fuller block is checked on top of these).
@@ -356,6 +365,16 @@ fn validate_pipeline(body: &str) -> Result<(), String> {
             "simd gate was bound but no kernel-level speedup over scalar was met".to_string()
         );
     }
+    for name in REQUIRED_FORMULATIONS {
+        if !body.contains(&format!("\"formulation\": \"{name}\"")) {
+            return Err(format!("missing formulations entry for {name:?}"));
+        }
+    }
+    for key in REQUIRED_FORMULATION_KEYS {
+        if !body.contains(key) {
+            return Err(format!("missing formulations field {key}"));
+        }
+    }
     // `tune` is null unless the run passed `--tune`; when present, the
     // sweep grid and winner must be complete.
     if !body.contains("\"tune\": null") {
@@ -455,6 +474,15 @@ mod tests {
             REQUIRED_METRICS_KEYS.iter().map(|k| format!("    {k}: 1,\n")).collect();
         let privacy: String =
             REQUIRED_PRIVACY_KEYS.iter().map(|k| format!("    {k}: 1,\n")).collect();
+        let formulations: String = REQUIRED_FORMULATIONS
+            .iter()
+            .map(|f| {
+                format!(
+                    "    {{ \"formulation\": \"{f}\", \"superseded\": \"old\", \"rows\": 8, \
+                     \"shipping_ms\": 1.0, \"superseded_ms\": 2.0, \"speedup\": 2.0 }},\n"
+                )
+            })
+            .collect();
         format!(
             "{{\n  \"bench\": \"pipeline\",\n  \"threads\": 1,\n  \"users\": 10,\n  \
              \"items\": 20,\n  \"stages\": [\n{stages}  ],\n  \
@@ -462,9 +490,10 @@ mod tests {
              \"serve_metrics\": {{\n{metrics}  }},\n  \
              \"privacy\": {{\n{privacy}  }},\n  \
              \"simd\": {{\n    \"detected\": \"avx2\",\n    \"active\": \"avx2\",\n    \
-             \"requested\": null,\n    \"kernels\": [\n      {{ \"kernel\": \"sim-build\", \
+             \"requested\": null,\n    \"kernels\": [\n      {{ \"kernel\": \"recommend-axpy\", \
              \"scalar_ms\": 2.0, \"simd_ms\": 1.0, \"speedup\": 2.0 }}\n    ],\n    \
              \"gate_bound\": true,\n    \"gate_met\": true\n  }},\n  \
+             \"formulations\": [\n{formulations}  ],\n  \
              \"tune\": {{\n    \"grid\": [\n      {{ \"item_tile\": 512, \
              \"user_block\": 8, \"ms\": 1.0 }}\n    ],\n    \"best_item_tile\": 512,\n    \
              \"best_user_block\": 8,\n    \"best_ms\": 1.0,\n    \
@@ -660,6 +689,16 @@ mod tests {
         assert!(validate(&serve_no_simd).unwrap_err().contains("detected"));
         let scale_no_simd = valid_scale_body().replace("\"active\"", "\"a\"");
         assert!(validate(&scale_no_simd).unwrap_err().contains("active"));
+    }
+
+    #[test]
+    fn rejects_pipeline_without_formulation_baselines() {
+        let no_block = valid_body().replace("\"formulations\"", "\"f\"");
+        assert!(validate(&no_block).unwrap_err().contains("formulations"));
+        let no_katz = valid_body().replace("katz-intersection", "katz");
+        assert!(validate(&no_katz).unwrap_err().contains("katz-intersection"));
+        let no_baseline = valid_body().replace("\"superseded_ms\"", "\"old_ms\"");
+        assert!(validate(&no_baseline).unwrap_err().contains("superseded_ms"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! per `SOCIALREC_SIMD` value in {scalar, sse2, avx2}, skipping (and
 //! logging) tiers the CPU cannot run. Each child runs the full
 //! equivalence suite: the blocked utility kernel vs its scalar
-//! reference, CN/AA similarity sets vs their scatter references, top-N
+//! reference, CN/AA similarity sets vs a brute-force oracle, top-N
 //! selection vs the reference heap, and end-to-end serving vs the
 //! framework walk.
 
@@ -18,12 +18,50 @@ use socialrec_core::private::ClusterFramework;
 use socialrec_core::{top_n_items, top_n_items_reference, RecommenderInputs, TopNRecommender};
 use socialrec_datasets::lastfm_like_scaled;
 use socialrec_dp::Epsilon;
-use socialrec_graph::UserId;
+use socialrec_graph::{SocialGraph, UserId};
 use socialrec_serve::{kernel, RecommendationServer, SimMassIndex};
 use socialrec_simd::Isa;
 use socialrec_similarity::{
     AdamicAdar, CommonNeighbors, Measure, SimScratch, Similarity, SimilarityMatrix,
 };
+
+/// `(v, Σ weight(deg x))` over the common neighbors `x` of `u` and
+/// every `v ≠ u`, merged from the sorted adjacency lists in ascending
+/// `x` order; zero scores are dropped.
+fn brute_force_row(
+    g: &SocialGraph,
+    u: UserId,
+    weight: impl Fn(usize) -> f64,
+) -> Vec<(UserId, f64)> {
+    let mut row = Vec::new();
+    for v in (0..g.num_users() as u32).map(UserId).filter(|&v| v != u) {
+        let (a, b) = (g.neighbors(u), g.neighbors(v));
+        let (mut i, mut j, mut sum) = (0, 0, 0.0f64);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    sum += weight(g.degree(a[i]));
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        if sum > 0.0 {
+            row.push((v, sum));
+        }
+    }
+    row
+}
+
+fn assert_rows_bits_eq(measure: &str, u: UserId, got: &[(UserId, f64)], want: &[(UserId, f64)]) {
+    assert_eq!(got.len(), want.len(), "{measure} row {u:?} length diverged");
+    for (a, b) in got.iter().zip(want) {
+        assert_eq!(a.0, b.0, "{measure} row {u:?} neighbor diverged");
+        assert_eq!(a.1.to_bits(), b.1.to_bits(), "{measure} row {u:?} score bits diverged");
+    }
+}
 
 fn run_equivalence_checks() {
     // When the parent set an override, the resolved tier must be
@@ -39,25 +77,17 @@ fn run_equivalence_checks() {
     let ds = lastfm_like_scaled(0.04, 21);
     let n = ds.social.num_users();
 
-    // CN and AA similarity sets: vectorized intersection formulation vs
-    // the retained scatter references, bit for bit, every user.
+    // CN and AA similarity sets vs a brute-force pairwise merge of
+    // Γ(u) and Γ(v), bit for bit, every user. No kernel of this crate
+    // runs in either walk, so the rows must not move with the tier.
     let mut scratch = SimScratch::new(n);
-    let (mut fast, mut slow) = (Vec::new(), Vec::new());
+    let mut got = Vec::new();
     for u in (0..n as u32).map(UserId) {
-        CommonNeighbors.similarity_set(&ds.social, u, &mut scratch, &mut fast);
-        CommonNeighbors.similarity_set_scatter(&ds.social, u, &mut scratch, &mut slow);
-        assert_eq!(fast.len(), slow.len(), "CN row {u:?} length diverged");
-        for (a, b) in fast.iter().zip(&slow) {
-            assert_eq!(a.0, b.0, "CN row {u:?} neighbor diverged");
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "CN row {u:?} score bits diverged");
-        }
-        AdamicAdar.similarity_set(&ds.social, u, &mut scratch, &mut fast);
-        AdamicAdar.similarity_set_scatter(&ds.social, u, &mut scratch, &mut slow);
-        assert_eq!(fast.len(), slow.len(), "AA row {u:?} length diverged");
-        for (a, b) in fast.iter().zip(&slow) {
-            assert_eq!(a.0, b.0, "AA row {u:?} neighbor diverged");
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "AA row {u:?} score bits diverged");
-        }
+        CommonNeighbors.similarity_set(&ds.social, u, &mut scratch, &mut got);
+        assert_rows_bits_eq("CN", u, &got, &brute_force_row(&ds.social, u, |_| 1.0));
+        AdamicAdar.similarity_set(&ds.social, u, &mut scratch, &mut got);
+        let aa = brute_force_row(&ds.social, u, |deg| 1.0 / (deg as f64).ln());
+        assert_rows_bits_eq("AA", u, &got, &aa);
     }
 
     // Blocked utility kernel (SIMD axpy) vs the fully scalar per-user

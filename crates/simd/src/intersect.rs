@@ -1,14 +1,9 @@
-//! Sorted duplicate-free `u32` set intersection — the kernel behind
-//! the Common Neighbors / Adamic-Adar similarity sets.
+//! Weighted sorted duplicate-free `u32` set intersection — the kernel
+//! behind the intersection-formulated Katz walk fronts.
 //!
 //! Inputs are strictly ascending (the CSR adjacency invariant).
-//! Two variants:
-//!
-//! * [`intersect_count`]: `|a ∩ b|`. Symmetric, so the dispatcher
-//!   always scans the smaller side.
-//! * [`intersect_sum`]: `Σ wa[i]` over positions `i` with
-//!   `a[i] ∈ b` — Adamic-Adar's weighted overlap, with `wa` parallel
-//!   to `a`.
+//! [`intersect_sum`] computes `Σ wa[i]` over positions `i` with
+//! `a[i] ∈ b`, with `wa` parallel to `a`.
 //!
 //! Three algorithm regimes, picked per call by length ratio:
 //! straight two-pointer merge (the scalar reference), a vectorized
@@ -19,11 +14,11 @@
 //!
 //! # Bit-exactness
 //!
-//! The count is an integer. The sum adds `wa[i]` into one scalar
-//! accumulator in ascending match order — and *every* regime visits
-//! matches in ascending element order (merge and block-compare scan
-//! forward; galloping probes forward) — so all tiers and regimes
-//! produce identical bits from the same `0.0`.
+//! The sum adds `wa[i]` into one scalar accumulator in ascending match
+//! order — and *every* regime visits matches in ascending element
+//! order (merge and block-compare scan forward; galloping probes
+//! forward) — so all tiers and regimes produce identical bits from the
+//! same `0.0`.
 
 use crate::Isa;
 
@@ -31,23 +26,6 @@ use crate::Isa;
 /// galloping (per-element exponential search) beats scanning the long
 /// side linearly.
 pub const GALLOP_RATIO: usize = 32;
-
-/// Scalar two-pointer reference for `|a ∩ b|`.
-pub fn intersect_count_reference(a: &[u32], b: &[u32]) -> u64 {
-    let (mut i, mut j, mut count) = (0, 0, 0u64);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
-}
 
 /// Scalar two-pointer reference for `Σ wa[i]` over `a[i] ∈ b`,
 /// accumulating from `sum` in ascending `i` order.
@@ -84,24 +62,6 @@ fn lower_bound_gallop(xs: &[u32], x: u32) -> usize {
     let lo = hi >> 1; // xs[lo - 1] < x (or lo == 0)
     let hi = hi.min(n);
     lo + xs[lo..hi].partition_point(|&v| v < x)
-}
-
-/// Count via galloping: for each element of `small`, advance a shared
-/// cursor through `big` by exponential + binary search.
-fn gallop_count(small: &[u32], big: &[u32]) -> u64 {
-    let mut count = 0u64;
-    let mut base = 0usize;
-    for &x in small {
-        base += lower_bound_gallop(&big[base..], x);
-        if base >= big.len() {
-            break;
-        }
-        if big[base] == x {
-            count += 1;
-            base += 1;
-        }
-    }
-    count
 }
 
 /// Weighted sum via galloping, scanning `a` (matches are found in
@@ -144,32 +104,6 @@ fn strictly_sorted(xs: &[u32]) -> bool {
     xs.windows(2).all(|w| w[0] < w[1])
 }
 
-/// Dispatched `|a ∩ b|` for strictly ascending inputs.
-pub fn intersect_count(a: &[u32], b: &[u32]) -> u64 {
-    intersect_count_on(crate::active(), a, b)
-}
-
-/// [`intersect_count`] on an explicit tier (clamped to the CPU).
-pub fn intersect_count_on(isa: Isa, a: &[u32], b: &[u32]) -> u64 {
-    debug_assert!(strictly_sorted(a) && strictly_sorted(b));
-    let (small, big) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.is_empty() {
-        return 0;
-    }
-    if big.len() / small.len() >= GALLOP_RATIO {
-        return gallop_count(small, big);
-    }
-    match isa.clamped() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamped()` only returns Avx2 when avx2+fma are detected.
-        Isa::Avx2 => unsafe { x86::count_avx2(small, big) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        Isa::Sse2 => unsafe { x86::count_sse2(small, big) },
-        _ => intersect_count_reference(small, big),
-    }
-}
-
 /// Dispatched weighted intersection sum: `Σ wa[i]` over `a[i] ∈ b`.
 ///
 /// # Panics
@@ -205,7 +139,7 @@ pub fn intersect_sum_on(isa: Isa, a: &[u32], wa: &[f64], b: &[u32]) -> f64 {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{intersect_count_reference, merge_sum_from};
+    use super::merge_sum_from;
     use core::arch::x86_64::*;
 
     // Block-compare merge: broadcast one element of the short side and
@@ -213,53 +147,6 @@ mod x86 {
     // the top of each iteration: every element of `big[..j]` is
     // strictly below `small[i]`, so a block with no equality whose last
     // lane is >= small[i] proves small[i] is absent from big entirely.
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn count_avx2(small: &[u32], big: &[u32]) -> u64 {
-        let (n, m) = (small.len(), big.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut count = 0u64;
-        while i < n && j + 8 <= m {
-            let x = *small.get_unchecked(i);
-            let vx = _mm256_set1_epi32(x as i32);
-            let vb = _mm256_loadu_si256(big.as_ptr().add(j) as *const __m256i);
-            let eq = _mm256_cmpeq_epi32(vx, vb);
-            if _mm256_movemask_epi8(eq) != 0 {
-                count += 1;
-                i += 1;
-            } else if *big.get_unchecked(j + 7) < x {
-                j += 8;
-            } else {
-                i += 1;
-            }
-        }
-        count + intersect_count_reference(&small[i..], &big[j..])
-    }
-
-    /// # Safety
-    /// Caller must ensure `small`/`big` are valid (SSE2 is baseline).
-    pub unsafe fn count_sse2(small: &[u32], big: &[u32]) -> u64 {
-        let (n, m) = (small.len(), big.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut count = 0u64;
-        while i < n && j + 4 <= m {
-            let x = *small.get_unchecked(i);
-            let vx = _mm_set1_epi32(x as i32);
-            let vb = _mm_loadu_si128(big.as_ptr().add(j) as *const __m128i);
-            let eq = _mm_cmpeq_epi32(vx, vb);
-            if _mm_movemask_epi8(eq) != 0 {
-                count += 1;
-                i += 1;
-            } else if *big.get_unchecked(j + 3) < x {
-                j += 4;
-            } else {
-                i += 1;
-            }
-        }
-        count + intersect_count_reference(&small[i..], &big[j..])
-    }
 
     /// # Safety
     /// Caller must ensure AVX2 is available and `a.len() == wa.len()`.
@@ -318,22 +205,9 @@ mod tests {
     }
 
     fn check_all_tiers(a: &[u32], b: &[u32]) {
-        let want_count = intersect_count_reference(a, b);
         let wa = weights(a);
         let want_sum = intersect_sum_reference(a, &wa, b);
         for isa in Isa::ALL {
-            assert_eq!(
-                intersect_count_on(isa, a, b),
-                want_count,
-                "count isa={} a={a:?} b={b:?}",
-                isa.name()
-            );
-            assert_eq!(
-                intersect_count_on(isa, b, a),
-                want_count,
-                "count(swapped) isa={}",
-                isa.name()
-            );
             let got = intersect_sum_on(isa, a, &wa, b);
             assert_eq!(
                 got.to_bits(),

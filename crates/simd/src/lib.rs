@@ -1,15 +1,16 @@
 //! # socialrec-simd — runtime-dispatched SIMD kernels
 //!
 //! The measured hot loops of the workspace — the serving axpy tile,
-//! the sorted-adjacency intersections behind Common Neighbors and
-//! Adamic/Adar, Louvain's community-label gather, and the top-N
-//! reject scan — all reduce to four tiny kernels. This crate owns
-//! them, with one implementation per ISA tier and a process-wide
-//! dispatch decision made once:
+//! the sorted walk-front intersections of the Katz measure, Louvain's
+//! community-label gather, and the top-N reject scan — all reduce to
+//! four tiny kernels. (Common Neighbors and Adamic/Adar use none of
+//! them: their scatter walk is cheaper than any per-candidate
+//! intersection.) This crate owns the kernels, with one implementation
+//! per ISA tier and a process-wide dispatch decision made once:
 //!
 //! * [`axpy`] — `dst[i] += a * src[i]` (the batch utility kernel);
-//! * [`intersect_count`] / [`intersect_sum`] — sorted duplicate-free
-//!   `u32` set intersection, counting or weighted (similarity sets);
+//! * [`intersect_sum`] — weighted sorted duplicate-free `u32` set
+//!   intersection (Katz walk counts);
 //! * [`gather_u32`] — `out[k] = table[idx[k]]` (Louvain label gather);
 //! * [`scan_ge`] — first index whose value is `>=` a threshold
 //!   (top-N reject path).
@@ -37,10 +38,9 @@
 //!   as scalar. The AVX2 tier deliberately emits `mul` + `add`, **not**
 //!   `fmadd` — a fused multiply-add rounds once instead of twice and
 //!   would change the bits.
-//! * `intersect_count`, `gather_u32`, and `scan_ge` are integer /
-//!   comparison kernels; there is nothing to round. (`scan_ge` uses
-//!   ordered-quiet compares, so `NaN >= t` is `false` exactly as in
-//!   scalar Rust.)
+//! * `gather_u32` and `scan_ge` are integer / comparison kernels;
+//!   there is nothing to round. (`scan_ge` uses ordered-quiet
+//!   compares, so `NaN >= t` is `false` exactly as in scalar Rust.)
 //! * `intersect_sum` adds the matched weights into a single scalar
 //!   accumulator in ascending match order on every tier and every
 //!   algorithm variant (block-compare and galloping), so the sum sees
@@ -60,10 +60,7 @@ mod scan;
 
 pub use axpy::{axpy, axpy_on, axpy_reference};
 pub use gather::{gather_u32, gather_u32_on, gather_u32_reference};
-pub use intersect::{
-    intersect_count, intersect_count_on, intersect_count_reference, intersect_sum,
-    intersect_sum_on, intersect_sum_reference,
-};
+pub use intersect::{intersect_sum, intersect_sum_on, intersect_sum_reference};
 pub use scan::{scan_ge, scan_ge_on, scan_ge_reference};
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -1,18 +1,38 @@
-//! Precomputed similarity sets for all users, in CSR form.
+//! Precomputed similarity sets for all users, one shared row each.
 //!
 //! The recommenders evaluate `sim(u)` for every user, and the NOU
 //! baseline needs the global sensitivity `max_u Σ_v sim(v, u)`; both
 //! want the whole matrix up front. Rows are computed in parallel with
-//! per-thread scratch buffers.
+//! per-worker scratch buffers, then copied into their own allocations
+//! on the calling thread. Each row lives in its own immutable
+//! `Arc`, so a graph delta rebuilds only the rows it dirtied and the
+//! new matrix shares every other row with the old one.
 
-use crate::csr::assemble_csr;
 use crate::scratch::SimScratch;
+use crate::stream::for_each_row;
 use crate::Similarity;
 use rayon::prelude::*;
 use socialrec_graph::{SocialGraph, UserId};
+use std::convert::Infallible;
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
-/// All similarity sets, row per user, CSR layout.
+/// One user's similarity set: neighbors ascending, scores parallel.
+#[derive(Debug)]
+struct Row {
+    users: Box<[UserId]>,
+    scores: Box<[f64]>,
+}
+
+impl Row {
+    fn new(users: &[UserId], scores: &[f64]) -> Arc<Row> {
+        Arc::new(Row { users: users.into(), scores: scores.into() })
+    }
+}
+
+/// All similarity sets, one shared immutable row per user.
+///
+/// Cloning copies the row-pointer table, not the rows.
 ///
 /// # Examples
 ///
@@ -29,76 +49,93 @@ use std::io::{self, Read, Write};
 /// ```
 #[derive(Clone, Debug)]
 pub struct SimilarityMatrix {
-    offsets: Vec<u64>,
-    neighbors: Vec<UserId>,
-    scores: Vec<f64>,
+    rows: Vec<Arc<Row>>,
+    entries: usize,
     name: &'static str,
+}
+
+/// Batches [`compute_rows`] splits a request into, each of at least
+/// [`MIN_BATCH_ROWS`] rows.
+const BATCHES: usize = 16;
+
+/// Smallest batch: a typical update's dirty rows run as one batch.
+const MIN_BATCH_ROWS: usize = 1024;
+
+/// Compute the rows of `user(0..count)` in parallel, in order.
+///
+/// The similarity work runs on the pool, batch by batch, and the
+/// calling thread copies each staged row into its long-lived
+/// allocation. Allocated on the workers instead, the rows would land
+/// in the allocator's per-thread arenas in whatever shares the dynamic
+/// scheduler gave each worker, and memory freed in one arena is not
+/// reused by another, so the resident size of a process that builds,
+/// updates and drops matrices would change from one run to the next.
+/// Batching bounds the staged copies to one batch.
+fn compute_rows<S: Similarity + ?Sized>(
+    g: &SocialGraph,
+    measure: &S,
+    count: usize,
+    user: impl Fn(usize) -> UserId + Sync,
+) -> Vec<Arc<Row>> {
+    let batch = count.div_ceil(BATCHES).max(MIN_BATCH_ROWS);
+    let mut rows = Vec::with_capacity(count);
+    let Ok(_) = for_each_row(
+        g,
+        measure,
+        count,
+        batch,
+        user,
+        |v| v,
+        |users, scores| {
+            rows.push(Row::new(users, scores));
+            Ok::<(), Infallible>(())
+        },
+    );
+    rows
 }
 
 impl SimilarityMatrix {
     /// Compute every user's similarity set in parallel.
     ///
-    /// Assembly is the two-pass CSR build of [`crate::csr`]: rows are
-    /// filled into per-chunk buffers through one pooled row buffer per
-    /// worker (no per-row allocation), lengths become offsets via an
-    /// exclusive prefix sum, and the flat arrays are written with
-    /// direct-slot parallel copies. Output is bit-identical to
+    /// Rows are independent and deterministic, so the output is
+    /// bit-identical to
     /// [`build_sequential`](SimilarityMatrix::build_sequential) for any
     /// thread count (proven by tests and re-checked at run time by
     /// `socialrec pipeline-bench`).
     pub fn build<S: Similarity + ?Sized>(g: &SocialGraph, measure: &S) -> SimilarityMatrix {
         let n = g.num_users();
         let _span = socialrec_obs::span!("sim.build", users = n);
-        let parts = assemble_csr(
-            n,
-            UserId(0),
-            0.0f64,
-            || (SimScratch::new(n), Vec::new()),
-            |(scratch, row): &mut (SimScratch, Vec<(UserId, f64)>), u, cols, vals| {
-                // `similarity_set` clears `row` first, so the pooled
-                // buffer never leaks entries across rows; the split
-                // copy-out reads it while it is still cache-hot.
-                measure.similarity_set(g, UserId(u as u32), scratch, row);
-                cols.extend(row.iter().map(|&(v, _)| v));
-                vals.extend(row.iter().map(|&(_, s)| s));
-            },
-        );
-        SimilarityMatrix {
-            offsets: parts.offsets,
-            neighbors: parts.cols,
-            scores: parts.vals,
-            name: measure.name(),
-        }
+        Self::from_rows(compute_rows(g, measure, n, |u| UserId(u as u32)), measure.name())
     }
 
     /// Sequential reference for [`build`](SimilarityMatrix::build):
-    /// one thread, row-major fill, direct push-down. Retained so the
-    /// equivalence tests and `pipeline-bench` can prove the parallel
-    /// two-pass assembly produces the same bytes.
+    /// one thread, one row after another. Retained so the equivalence
+    /// tests and `pipeline-bench` can prove the parallel build produces
+    /// the same bytes.
     pub fn build_sequential<S: Similarity + ?Sized>(
         g: &SocialGraph,
         measure: &S,
     ) -> SimilarityMatrix {
         let n = g.num_users();
         let mut scratch = SimScratch::new(n);
-        let mut row = Vec::new();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        let mut neighbors = Vec::new();
-        let mut scores = Vec::new();
-        for u in 0..n as u32 {
-            measure.similarity_set(g, UserId(u), &mut scratch, &mut row);
-            for &(v, s) in &row {
-                neighbors.push(v);
-                scores.push(s);
-            }
-            offsets.push(neighbors.len() as u64);
-        }
-        SimilarityMatrix { offsets, neighbors, scores, name: measure.name() }
+        let mut pairs = Vec::new();
+        let rows = (0..n as u32)
+            .map(|u| {
+                measure.similarity_set(g, UserId(u), &mut scratch, &mut pairs);
+                let (users, scores): (Vec<UserId>, Vec<f64>) = pairs.iter().copied().unzip();
+                Row::new(&users, &scores)
+            })
+            .collect();
+        Self::from_rows(rows, measure.name())
     }
 
-    /// Rebuild only the given rows against `g` and splice every other
-    /// row over unchanged — the delta-aware update path.
+    fn from_rows(rows: Vec<Arc<Row>>, name: &'static str) -> SimilarityMatrix {
+        let entries = rows.iter().map(|r| r.users.len()).sum();
+        SimilarityMatrix { rows, entries, name }
+    }
+
+    /// Rebuild only the given rows against `g` and share every other
+    /// row with `self` — the delta-aware update path.
     ///
     /// `dirty` must be sorted ascending without duplicates (as produced
     /// by [`crate::dirty_rows`]) and in range. If `dirty` conservatively
@@ -106,8 +143,10 @@ impl SimilarityMatrix {
     /// **bit-identical** to `SimilarityMatrix::build(g, measure)` from
     /// scratch: per-row computation is deterministic, so clean rows keep
     /// their exact bytes and dirty rows are recomputed exactly as a full
-    /// build would. Cost is O(recomputed rows) + one memcpy of the
-    /// surviving arrays, instead of O(all rows) similarity work.
+    /// build would. `self` is left untouched, so readers of the old
+    /// generation keep it. Cost is the similarity work of the dirty rows
+    /// plus one copy of the n-entry row-pointer table; clean rows are
+    /// shared, never copied.
     pub fn update_rows<S: Similarity + ?Sized>(
         &self,
         g: &SocialGraph,
@@ -120,65 +159,25 @@ impl SimilarityMatrix {
         assert!(dirty.last().is_none_or(|u| u.index() < n), "dirty row out of range");
         let _span = socialrec_obs::span!("update.sim_rows", rows = dirty.len());
 
-        // Recompute dirty rows in parallel; rows are independent, so
-        // the bytes match a sequential (or full-build) recompute.
-        let new_rows: Vec<Vec<(UserId, f64)>> = dirty
-            .par_iter()
-            .map_init(
-                || (SimScratch::new(n), Vec::new()),
-                |(scratch, row): &mut (SimScratch, Vec<(UserId, f64)>), &u| {
-                    measure.similarity_set(g, u, scratch, row);
-                    std::mem::take(row)
-                },
-            )
-            .collect();
-
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        let mut total = 0u64;
-        let mut di = 0usize;
-        for u in 0..n {
-            let len = if di < dirty.len() && dirty[di].index() == u {
-                let l = new_rows[di].len();
-                di += 1;
-                l
-            } else {
-                (self.offsets[u + 1] - self.offsets[u]) as usize
-            };
-            total += len as u64;
-            offsets.push(total);
+        let fresh = compute_rows(g, measure, dirty.len(), |i| dirty[i]);
+        let mut rows = self.rows.clone();
+        let mut entries = self.entries;
+        for (&u, row) in dirty.iter().zip(fresh) {
+            let slot = &mut rows[u.index()];
+            entries = entries - slot.users.len() + row.users.len();
+            *slot = row;
         }
-
-        let mut neighbors = Vec::with_capacity(total as usize);
-        let mut scores = Vec::with_capacity(total as usize);
-        let mut clean_from = 0usize; // first user of the current clean run
-        for (k, &du) in dirty.iter().enumerate() {
-            let u = du.index();
-            let a = self.offsets[clean_from] as usize;
-            let b = self.offsets[u] as usize;
-            neighbors.extend_from_slice(&self.neighbors[a..b]);
-            scores.extend_from_slice(&self.scores[a..b]);
-            let row = &new_rows[k];
-            neighbors.extend(row.iter().map(|&(v, _)| v));
-            scores.extend(row.iter().map(|&(_, s)| s));
-            clean_from = u + 1;
-        }
-        let a = self.offsets[clean_from] as usize;
-        neighbors.extend_from_slice(&self.neighbors[a..]);
-        scores.extend_from_slice(&self.scores[a..]);
-        debug_assert_eq!(neighbors.len() as u64, total);
-
-        SimilarityMatrix { offsets, neighbors, scores, name: self.name }
+        SimilarityMatrix { rows, entries, name: self.name }
     }
 
     /// Number of users (rows).
     pub fn num_users(&self) -> usize {
-        self.offsets.len() - 1
+        self.rows.len()
     }
 
     /// Total number of stored (non-zero) entries.
     pub fn num_entries(&self) -> usize {
-        self.neighbors.len()
+        self.entries
     }
 
     /// Name of the measure that produced this matrix.
@@ -190,9 +189,8 @@ impl SimilarityMatrix {
     /// users ascending.
     #[inline]
     pub fn row(&self, u: UserId) -> (&[UserId], &[f64]) {
-        let a = self.offsets[u.index()] as usize;
-        let b = self.offsets[u.index() + 1] as usize;
-        (&self.neighbors[a..b], &self.scores[a..b])
+        let row = &self.rows[u.index()];
+        (&row.users, &row.scores)
     }
 
     /// `sim(u, v)` by binary search in `u`'s row.
@@ -259,9 +257,15 @@ impl SimilarityMatrix {
         let name_bytes = self.name.as_bytes();
         w.write_all(&(name_bytes.len() as u32).to_le_bytes())?;
         w.write_all(name_bytes)?;
-        write_chunked(&mut w, &self.offsets, |o| o.to_le_bytes())?;
-        write_chunked(&mut w, &self.neighbors, |v| v.0.to_le_bytes())?;
-        write_chunked(&mut w, &self.scores, |x| x.to_le_bytes())?;
+        let ends = self.rows.iter().scan(0u64, |end, r| {
+            *end += r.users.len() as u64;
+            Some(*end)
+        });
+        write_chunked(&mut w, std::iter::once(0u64).chain(ends), u64::to_le_bytes)?;
+        let users = self.rows.iter().flat_map(|r| r.users.iter());
+        write_chunked(&mut w, users, |v| v.0.to_le_bytes())?;
+        let scores = self.rows.iter().flat_map(|r| r.scores.iter());
+        write_chunked(&mut w, scores, |x| x.to_le_bytes())?;
         Ok(())
     }
 
@@ -332,7 +336,14 @@ impl SimilarityMatrix {
         let neighbors: Vec<UserId> =
             read_chunked(&mut r, entries, |b| UserId(u32::from_le_bytes(b)))?;
         let scores: Vec<f64> = read_chunked(&mut r, entries, f64::from_le_bytes)?;
-        Ok(SimilarityMatrix { offsets, neighbors, scores, name })
+        let rows = offsets
+            .windows(2)
+            .map(|w| {
+                let (a, b) = (w[0] as usize, w[1] as usize);
+                Row::new(&neighbors[a..b], &scores[a..b])
+            })
+            .collect();
+        Ok(SimilarityMatrix { rows, entries, name })
     }
 }
 
@@ -351,19 +362,19 @@ const IO_CHUNK_BYTES: usize = 16 * 1024;
 /// Write `xs` as little-endian bytes in [`IO_CHUNK_BYTES`] batches.
 fn write_chunked<W: Write, T, const N: usize>(
     w: &mut W,
-    xs: &[T],
-    to_bytes: impl Fn(&T) -> [u8; N],
+    xs: impl IntoIterator<Item = T>,
+    to_bytes: impl Fn(T) -> [u8; N],
 ) -> io::Result<()> {
-    let per_batch = (IO_CHUNK_BYTES / N).max(1);
-    let mut buf = Vec::with_capacity(per_batch * N);
-    for batch in xs.chunks(per_batch) {
-        buf.clear();
-        for x in batch {
-            buf.extend_from_slice(&to_bytes(x));
+    let batch_bytes = (IO_CHUNK_BYTES / N).max(1) * N;
+    let mut buf = Vec::with_capacity(batch_bytes);
+    for x in xs {
+        buf.extend_from_slice(&to_bytes(x));
+        if buf.len() == batch_bytes {
+            w.write_all(&buf)?;
+            buf.clear();
         }
-        w.write_all(&buf)?;
     }
-    Ok(())
+    w.write_all(&buf)
 }
 
 /// Read `count` little-endian elements in [`IO_CHUNK_BYTES`] batches.
@@ -395,6 +406,23 @@ mod tests {
     use socialrec_graph::generate::{planted_communities, CommunityGraphConfig};
     use socialrec_graph::social::social_graph_from_edges;
 
+    /// Assert `a` and `b` hold the same rows, bit for bit, and that the
+    /// cached entry counts match the rows.
+    fn assert_same_bits(a: &SimilarityMatrix, b: &SimilarityMatrix, ctx: &str) {
+        assert_eq!(a.num_users(), b.num_users(), "{ctx}: users");
+        assert_eq!(a.measure_name(), b.measure_name(), "{ctx}: measure");
+        for m in [a, b] {
+            let stored: usize = m.rows.iter().map(|r| r.users.len()).sum();
+            assert_eq!(m.num_entries(), stored, "{ctx}: entry count out of sync");
+        }
+        for u in (0..a.num_users() as u32).map(UserId) {
+            let ((au, as_), (bu, bs)) = (a.row(u), b.row(u));
+            assert_eq!(au, bu, "{ctx}: row {u:?} users");
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(as_), bits(bs), "{ctx}: row {u:?} score bits");
+        }
+    }
+
     #[test]
     fn matches_direct_computation() {
         let g = planted_communities(&CommunityGraphConfig {
@@ -418,7 +446,7 @@ mod tests {
     }
 
     #[test]
-    fn two_pass_build_matches_sequential_bitwise() {
+    fn parallel_build_matches_sequential_bitwise() {
         let g = planted_communities(&CommunityGraphConfig {
             num_users: 300,
             num_communities: 5,
@@ -429,13 +457,26 @@ mod tests {
         for m in Measure::paper_suite() {
             let par = SimilarityMatrix::build(&g, &m);
             let seq = SimilarityMatrix::build_sequential(&g, &m);
-            assert_eq!(par.offsets, seq.offsets, "{} offsets differ", m.name());
-            assert_eq!(par.neighbors, seq.neighbors, "{} neighbors differ", m.name());
-            assert_eq!(par.scores.len(), seq.scores.len());
-            for (i, (a, b)) in par.scores.iter().zip(&seq.scores).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "{} score {i} differs bitwise", m.name());
-            }
-            assert_eq!(par.measure_name(), seq.measure_name());
+            assert_same_bits(&par, &seq, m.name());
+        }
+    }
+
+    /// Enough users for three batches, the last one short: rows keep
+    /// their order and bits across batch boundaries.
+    #[test]
+    fn build_across_batches_matches_sequential_bitwise() {
+        let g = planted_communities(&CommunityGraphConfig {
+            num_users: 2 * MIN_BATCH_ROWS + 37,
+            num_communities: 12,
+            mean_degree: 6.0,
+            seed: 29,
+            ..Default::default()
+        })
+        .graph;
+        for m in [Measure::CommonNeighbors, Measure::AdamicAdar] {
+            let par = SimilarityMatrix::build(&g, &m);
+            let seq = SimilarityMatrix::build_sequential(&g, &m);
+            assert_same_bits(&par, &seq, m.name());
         }
     }
 
@@ -552,25 +593,14 @@ mod tests {
         }
     }
 
-    /// Serialize in the legacy v1 layout (no flags word) by hand, so
-    /// the reader's backward-compatibility path stays covered even
-    /// though the writer now emits v2.
+    /// Serialize in the legacy v1 layout — v2 without the flags word —
+    /// so the reader's backward-compatibility path stays covered even
+    /// though the writer now emits v2 (whose bytes the golden test
+    /// pins).
     fn write_v1(m: &SimilarityMatrix, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(SIM_MAGIC_V1);
-        buf.extend_from_slice(&(m.num_users() as u64).to_le_bytes());
-        buf.extend_from_slice(&(m.num_entries() as u64).to_le_bytes());
-        let name = m.measure_name().as_bytes();
-        buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        buf.extend_from_slice(name);
-        for &o in &m.offsets {
-            buf.extend_from_slice(&o.to_le_bytes());
-        }
-        for &v in &m.neighbors {
-            buf.extend_from_slice(&v.0.to_le_bytes());
-        }
-        for &s in &m.scores {
-            buf.extend_from_slice(&s.to_le_bytes());
-        }
+        m.write_to(&mut *buf).unwrap();
+        buf[..8].copy_from_slice(SIM_MAGIC_V1);
+        buf.drain(24..28);
     }
 
     #[test]
@@ -593,10 +623,8 @@ mod tests {
         write_v1(&m, &mut v1);
         let from_v1 = SimilarityMatrix::read_from(&v1[..]).unwrap();
         let from_v2 = SimilarityMatrix::read_from(&v2[..]).unwrap();
-        assert_eq!(from_v1.offsets, from_v2.offsets);
-        assert_eq!(from_v1.neighbors, from_v2.neighbors);
-        assert_eq!(from_v1.scores, from_v2.scores);
-        assert_eq!(from_v1.measure_name(), from_v2.measure_name());
+        assert_same_bits(&from_v1, &from_v2, "v1 vs v2");
+        assert_same_bits(&from_v2, &m, "v2 vs built");
     }
 
     #[test]
@@ -625,6 +653,43 @@ mod tests {
         other[..8].copy_from_slice(b"ZZZZZZZZ");
         let err = SimilarityMatrix::read_from(&other[..]).unwrap_err();
         assert!(err.to_string().contains("not a socialrec"), "{err}");
+    }
+
+    /// Pins the exact SRSIMv2 bytes `write_to` emits, independent of
+    /// how the matrix stores its rows in memory. Triangle 0-1-2 plus
+    /// the pendant 2-3 under AA: the common neighbors 0 and 1 have
+    /// degree 2 (weight `1/ln 2`), the hub 2 has degree 3 (`1/ln 3`).
+    #[test]
+    fn write_to_emits_golden_srsim_v2_bytes() {
+        let g = social_graph_from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]).unwrap();
+        let m = SimilarityMatrix::build(&g, &AdamicAdar);
+        let mut buf = Vec::new();
+        m.write_to(&mut buf).unwrap();
+
+        let inv_ln2 = 1.0 / 2.0f64.ln();
+        let inv_ln3 = 1.0 / 3.0f64.ln();
+        assert_eq!(inv_ln2.to_bits(), 0x3FF7_1547_652B_82FE);
+        assert_eq!(inv_ln3.to_bits(), 0x3FED_20AE_03BC_C152);
+        let mut want: Vec<u8> = Vec::new();
+        want.extend_from_slice(b"SRSIMv2\0");
+        want.extend_from_slice(&[4, 0, 0, 0, 0, 0, 0, 0]); // users
+        want.extend_from_slice(&[10, 0, 0, 0, 0, 0, 0, 0]); // entries
+        want.extend_from_slice(&[0, 0, 0, 0]); // flags
+        want.extend_from_slice(&[2, 0, 0, 0]); // name length
+        want.extend_from_slice(b"AA");
+        for offset in [0u8, 3, 6, 8, 10] {
+            want.extend_from_slice(&[offset, 0, 0, 0, 0, 0, 0, 0]);
+        }
+        for v in [1u8, 2, 3, 0, 2, 3, 0, 1, 0, 1] {
+            want.extend_from_slice(&[v, 0, 0, 0]);
+        }
+        let a = [0x52, 0xC1, 0xBC, 0x03, 0xAE, 0x20, 0xED, 0x3F]; // 1/ln 3
+        let b = [0xFE, 0x82, 0x2B, 0x65, 0x47, 0x15, 0xF7, 0x3F]; // 1/ln 2
+        for s in [a, b, a, a, b, a, b, b, a, a] {
+            want.extend_from_slice(&s);
+        }
+        assert_eq!(buf.len(), 194);
+        assert_eq!(buf, want);
     }
 
     #[test]
@@ -682,21 +747,7 @@ mod tests {
                 let dirty = crate::dirty_rows(&m, &g, &g_new, &report.touched);
                 let updated = sim.update_rows(&g_new, &m, &dirty);
                 let rebuilt = SimilarityMatrix::build(&g_new, &m);
-                assert_eq!(
-                    updated.offsets,
-                    rebuilt.offsets,
-                    "{} round {round}: offsets diverged",
-                    m.name()
-                );
-                assert_eq!(updated.neighbors, rebuilt.neighbors, "{} round {round}", m.name());
-                for (i, (a, b)) in updated.scores.iter().zip(&rebuilt.scores).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{} round {round}: score {i} differs bitwise",
-                        m.name()
-                    );
-                }
+                assert_same_bits(&updated, &rebuilt, &format!("{} round {round}", m.name()));
                 g = g_new;
                 sim = updated;
             }
@@ -708,9 +759,46 @@ mod tests {
         let g = social_graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
         let sim = SimilarityMatrix::build(&g, &CommonNeighbors);
         let same = sim.update_rows(&g, &CommonNeighbors, &[]);
-        assert_eq!(same.offsets, sim.offsets);
-        assert_eq!(same.neighbors, sim.neighbors);
-        assert_eq!(same.scores, sim.scores);
+        assert_same_bits(&same, &sim, "empty update");
+        assert!(same.rows.iter().zip(&sim.rows).all(|(a, b)| Arc::ptr_eq(a, b)));
+    }
+
+    /// Generations: `update_rows` leaves `self` bit-identical to a
+    /// clone taken before the update (readers of the old generation
+    /// keep it), and the new matrix shares every clean row with the old
+    /// one by pointer while the dirty rows are fresh allocations.
+    #[test]
+    fn update_rows_keeps_old_generation_and_shares_clean_rows() {
+        use socialrec_graph::GraphDelta;
+        let g = planted_communities(&CommunityGraphConfig {
+            num_users: 150,
+            seed: 23,
+            ..Default::default()
+        })
+        .graph;
+        let mut d = GraphDelta::new();
+        d.add_social(UserId(3), UserId(97)).unwrap();
+        d.remove_social(UserId(3), g.neighbors(UserId(3))[0]).unwrap();
+        let (g_new, report) = d.apply_social(&g).unwrap();
+        for m in Measure::paper_suite() {
+            let sim = SimilarityMatrix::build(&g, &m);
+            let before = sim.clone();
+            let dirty = crate::dirty_rows(&m, &g, &g_new, &report.touched);
+            assert!(!dirty.is_empty() && dirty.len() < sim.num_users(), "{}", m.name());
+            let updated = sim.update_rows(&g_new, &m, &dirty);
+
+            assert_same_bits(&sim, &before, &format!("{} old generation", m.name()));
+            assert_same_bits(
+                &updated,
+                &SimilarityMatrix::build(&g_new, &m),
+                &format!("{} new generation", m.name()),
+            );
+            for u in 0..sim.num_users() {
+                let shared = Arc::ptr_eq(&updated.rows[u], &sim.rows[u]);
+                let is_dirty = dirty.binary_search(&UserId(u as u32)).is_ok();
+                assert_eq!(shared, !is_dirty, "{} row {u}: shared={shared}", m.name());
+            }
+        }
     }
 
     #[test]

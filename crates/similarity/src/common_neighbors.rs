@@ -1,46 +1,20 @@
 //! Common Neighbors: `sim(u, v) = |Γ(u) ∩ Γ(v)|`.
 //!
-//! Two equivalent formulations:
-//!
-//! * **Scatter** (the original, retained as the reference): every
-//!   two-step walk `u → x → v` adds 1 to a dense accumulator slot for
-//!   `v`, which is then drained sorted.
-//! * **Intersection** (the shipping path): collect the distinct
-//!   two-hop candidates `v`, then score each as
-//!   `|Γ(u) ∩ Γ(v)|` with the vectorized sorted-set intersection from
-//!   `socialrec-simd`. Counts are integers, so the two formulations
-//!   are **bit-identical** — pinned by the tests below on every ISA
-//!   tier (DESIGN.md §6d).
+//! Computed as a scatter walk: every two-step walk `u → x → v` adds 1
+//! to a dense accumulator slot for `v`, which is then drained sorted.
+//! The walk touches `Σ_{x ∈ Γ(u)} deg x` entries and nothing else, so
+//! it is the cheapest exact formulation: scoring each two-hop
+//! candidate by a sorted-set intersection of `Γ(u)` and `Γ(v)` does the
+//! same walk to find the candidates and then a merge per candidate on
+//! top.
 
 use crate::scratch::SimScratch;
 use crate::Similarity;
-use socialrec_graph::{user_ids_as_u32, SocialGraph, UserId};
+use socialrec_graph::{SocialGraph, UserId};
 
 /// The Common Neighbors (CN) measure.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CommonNeighbors;
-
-impl CommonNeighbors {
-    /// The original scatter formulation, retained as the equivalence
-    /// reference for the intersection path.
-    pub fn similarity_set_scatter(
-        &self,
-        g: &SocialGraph,
-        u: UserId,
-        scratch: &mut SimScratch,
-        out: &mut Vec<(UserId, f64)>,
-    ) {
-        out.clear();
-        // Every two-step walk u -> x -> v witnesses one common neighbor
-        // x of u and v.
-        for &x in g.neighbors(u) {
-            for &v in g.neighbors(x) {
-                scratch.acc.add(v.0, 1.0);
-            }
-        }
-        scratch.acc.drain_sorted_into(u, out);
-    }
-}
 
 impl Similarity for CommonNeighbors {
     fn name(&self) -> &'static str {
@@ -69,25 +43,14 @@ impl Similarity for CommonNeighbors {
         out: &mut Vec<(UserId, f64)>,
     ) {
         out.clear();
-        let a = user_ids_as_u32(g.neighbors(u));
+        // Every two-step walk u -> x -> v witnesses one common neighbor
+        // x of u and v.
         for &x in g.neighbors(u) {
             for &v in g.neighbors(x) {
-                scratch.cand.insert(v.0);
+                scratch.acc.add(v.0, 1.0);
             }
         }
-        scratch.cand.sort();
-        for &v in scratch.cand.list() {
-            if v == u.0 {
-                continue;
-            }
-            let b = user_ids_as_u32(g.neighbors(UserId(v)));
-            // Every candidate was reached by some walk u → x → v, so x
-            // witnesses the intersection: the count is always ≥ 1.
-            let c = socialrec_simd::intersect_count(a, b);
-            debug_assert!(c > 0);
-            out.push((UserId(v), c as f64));
-        }
-        scratch.cand.clear();
+        scratch.acc.drain_sorted_into(u, out);
     }
 }
 
@@ -145,43 +108,14 @@ mod tests {
         }
     }
 
-    /// The intersection path is bit-identical to the retained scatter
-    /// reference on every available ISA tier.
+    /// Every row equals the brute-force pairwise merge of `Γ(u)` and
+    /// `Γ(v)`, bit for bit, on graphs with hubs, pendants and isolated
+    /// users.
     #[test]
-    fn intersection_matches_scatter_bits_on_all_tiers() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(42);
-        let n = 60usize;
-        let mut edges = Vec::new();
-        for u in 0..n as u32 {
-            for _ in 0..4 {
-                let v = rng.gen_range(0..n as u32);
-                if v != u {
-                    edges.push((u, v));
-                }
-            }
+    fn matches_brute_force_pairwise_merge() {
+        for seed in [1, 2, 3] {
+            let g = crate::oracle::random_graph(seed);
+            crate::oracle::assert_matches_brute_force(&CommonNeighbors, &g, |_| 1.0);
         }
-        let g = social_graph_from_edges(n, &edges).unwrap();
-        let cn = CommonNeighbors;
-        let mut scratch = SimScratch::new(n);
-        let (mut want, mut got) = (Vec::new(), Vec::new());
-        let prev = socialrec_simd::active();
-        for isa in socialrec_simd::Isa::ALL {
-            if !isa.is_available() {
-                continue;
-            }
-            socialrec_simd::force(isa);
-            for u in 0..n as u32 {
-                cn.similarity_set_scatter(&g, UserId(u), &mut scratch, &mut want);
-                cn.similarity_set(&g, UserId(u), &mut scratch, &mut got);
-                assert_eq!(want.len(), got.len(), "isa={} u={u}", isa.name());
-                for ((wv, ws), (gv, gs)) in want.iter().zip(&got) {
-                    assert_eq!(wv, gv, "isa={} u={u}", isa.name());
-                    assert_eq!(ws.to_bits(), gs.to_bits(), "isa={} u={u}", isa.name());
-                }
-            }
-        }
-        socialrec_simd::force(prev);
     }
 }

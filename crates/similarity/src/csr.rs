@@ -1,10 +1,12 @@
 //! Two-pass parallel CSR assembly.
 //!
-//! The first generation of the workspace's CSR builders
-//! ([`SimilarityMatrix::build`], `SimMassIndex::build`) collected one
-//! `Vec` per row in parallel, then copied everything down into the flat
-//! arrays on the calling thread — O(rows) heap allocations plus a
-//! serial O(nnz) copy at the very end of an otherwise parallel build.
+//! Flat CSR arrays are what `SimMassIndex::build` (in `socialrec-serve`)
+//! produces. Its first generation collected one `Vec` per row in
+//! parallel, then copied everything down into the flat arrays on the
+//! calling thread — O(rows) heap allocations plus a serial O(nnz) copy
+//! at the very end of an otherwise parallel build. (The similarity
+//! matrix, by contrast, keeps one shared allocation per row so updates
+//! can swap rows; see [`crate::cache`].)
 //!
 //! [`assemble_csr`] replaces that with the two-pass layout used by
 //! KONECT/WebGraph-style graph pipelines, adapted to a chunked single
@@ -33,8 +35,6 @@
 //! ascending row ranges, and the slot writes preserve position. That
 //! makes the builder safe for the workspace's bit-identity contracts
 //! (see `DESIGN.md` §6d).
-//!
-//! [`SimilarityMatrix::build`]: crate::SimilarityMatrix::build
 
 use rayon::prelude::*;
 

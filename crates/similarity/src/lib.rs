@@ -22,7 +22,9 @@
 //! [`Similarity::dirty_radius`]) and
 //! [`SimilarityMatrix::update_rows`](cache::SimilarityMatrix::update_rows)
 //! recomputes exactly those rows, bit-identical to a from-scratch
-//! rebuild.
+//! rebuild. The matrix keeps each row in its own shared immutable
+//! allocation, so an update shares every clean row with the previous
+//! generation instead of copying it.
 
 #![warn(missing_docs)]
 
@@ -131,4 +133,83 @@ pub fn dirty_rows<S: Similarity + ?Sized>(
     rows.sort_unstable();
     rows.dedup();
     rows
+}
+
+/// Brute-force reference for the two-hop measures, shared by their
+/// unit tests.
+#[cfg(test)]
+mod oracle {
+    use crate::{SimScratch, Similarity};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use socialrec_graph::social::social_graph_from_edges;
+    use socialrec_graph::{SocialGraph, UserId};
+
+    /// 80 users: hubs 0..3 adjacent to about a third of the graph, a
+    /// random core 3..66 of degree about 3, pendants 66..74 with a
+    /// single edge into the core, and isolated users 74..80.
+    pub(crate) fn random_graph(seed: u64) -> SocialGraph {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut edges = Vec::new();
+        for hub in 0..3u32 {
+            for v in 3..66u32 {
+                if rng.gen_bool(0.33) {
+                    edges.push((hub, v));
+                }
+            }
+        }
+        for u in 3..66u32 {
+            for _ in 0..2 {
+                let v = rng.gen_range(3..66u32);
+                if v != u {
+                    edges.push((u, v));
+                }
+            }
+        }
+        for p in 66..74u32 {
+            edges.push((p, rng.gen_range(0..66u32)));
+        }
+        social_graph_from_edges(80, &edges).unwrap()
+    }
+
+    /// Score every pair `u ≠ v` by merging the sorted `Γ(u)` and `Γ(v)`
+    /// and summing `weight(deg x)` over the common neighbors `x` in
+    /// ascending order from `0.0`, then assert that `measure` returns
+    /// exactly the positive scores, bit for bit.
+    pub(crate) fn assert_matches_brute_force(
+        measure: &dyn Similarity,
+        g: &SocialGraph,
+        weight: impl Fn(usize) -> f64,
+    ) {
+        let n = g.num_users() as u32;
+        let mut scratch = SimScratch::new(n as usize);
+        let mut got = Vec::new();
+        for u in (0..n).map(UserId) {
+            let mut want = Vec::new();
+            for v in (0..n).map(UserId).filter(|&v| v != u) {
+                let (a, b) = (g.neighbors(u), g.neighbors(v));
+                let (mut i, mut j, mut sum) = (0, 0, 0.0f64);
+                while i < a.len() && j < b.len() {
+                    match a[i].cmp(&b[j]) {
+                        std::cmp::Ordering::Less => i += 1,
+                        std::cmp::Ordering::Greater => j += 1,
+                        std::cmp::Ordering::Equal => {
+                            sum += weight(g.degree(a[i]));
+                            i += 1;
+                            j += 1;
+                        }
+                    }
+                }
+                if sum > 0.0 {
+                    want.push((v, sum));
+                }
+            }
+            measure.similarity_set(g, u, &mut scratch, &mut got);
+            assert_eq!(got.len(), want.len(), "{} row {u:?} length", measure.name());
+            for (&(gv, gs), &(wv, ws)) in got.iter().zip(&want) {
+                assert_eq!(gv, wv, "{} row {u:?}", measure.name());
+                assert_eq!(gs.to_bits(), ws.to_bits(), "{} row {u:?} at {wv:?}", measure.name());
+            }
+        }
+    }
 }

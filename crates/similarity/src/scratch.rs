@@ -70,7 +70,7 @@ impl DenseAccumulator {
 /// Deduplicating candidate collector: byte marks plus a touched list,
 /// so gathering the distinct two-hop neighborhood costs O(walk) and
 /// clearing costs O(candidates). Feeds the intersection-formulated
-/// CN/AA paths.
+/// Katz path.
 #[derive(Clone, Debug)]
 pub struct CandidateSet {
     marks: Vec<bool>,
@@ -125,10 +125,8 @@ pub struct SimScratch {
     pub next: DenseAccumulator,
     /// BFS state for distance-bounded measures.
     pub bfs: BfsScratch,
-    /// Two-hop candidate collector for intersection-based measures.
+    /// Two-hop candidate collector (intersection-formulated Katz).
     pub cand: CandidateSet,
-    /// Per-call weight row parallel to Γ(u) (Adamic/Adar).
-    pub row_weights: Vec<f64>,
     /// Sorted walk-front ids (intersection-formulated Katz); doubles as
     /// the sorted reached list for the gather-formulated Graph Distance.
     pub front_ids: Vec<u32>,
@@ -154,7 +152,6 @@ impl SimScratch {
             next: DenseAccumulator::new(num_users),
             bfs: BfsScratch::new(num_users),
             cand: CandidateSet::new(num_users),
-            row_weights: Vec::new(),
             front_ids: Vec::new(),
             front_counts: Vec::new(),
             next_ids: Vec::new(),

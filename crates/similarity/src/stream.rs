@@ -1,6 +1,6 @@
 //! Streaming similarity build: graph → artifact file in bounded memory.
 //!
-//! [`SimilarityMatrix::build`] stages the whole CSR matrix in RAM —
+//! [`SimilarityMatrix::build`] holds the whole matrix in RAM —
 //! fine up to a few hundred thousand users, but the million-user data
 //! path needs the build to spill completed rows to disk as it goes.
 //! [`write_similarity_artifact_streaming`] computes rows in macro-chunks:
@@ -67,28 +67,59 @@ pub fn write_similarity_artifact_streaming<S: Similarity + ?Sized>(
         n,
     )?;
 
+    let mut entries = 0u64;
+    let chunks = for_each_row(
+        g,
+        measure,
+        n,
+        chunk_rows,
+        |u| UserId(u as u32),
+        |v| v.0,
+        |cols, vals| {
+            entries += cols.len() as u64;
+            writer.push_row(cols, vals)
+        },
+    )?;
+    writer.finish()?;
+    Ok(StreamBuildStats { num_rows: n, num_entries: entries, chunks })
+}
+
+/// Compute the rows of `user(0..count)` in parallel, `chunk_rows` at a
+/// time, and hand each row to `sink` in ascending order on the calling
+/// thread, with its columns mapped through `col`. Returns the number of
+/// chunks.
+///
+/// Each chunk is sub-split so the dynamic scheduler can balance skewed
+/// rows across workers, and filled into split staging buffers (the
+/// shape of pass 1 of [`crate::csr::assemble_csr`]); at most one chunk
+/// is staged at a time. The first error from `sink` stops the walk.
+pub(crate) fn for_each_row<S, C, E>(
+    g: &SocialGraph,
+    measure: &S,
+    count: usize,
+    chunk_rows: usize,
+    user: impl Fn(usize) -> UserId + Sync,
+    col: impl Fn(UserId) -> C + Sync,
+    mut sink: impl FnMut(&[C], &[f64]) -> Result<(), E>,
+) -> Result<usize, E>
+where
+    S: Similarity + ?Sized,
+    C: Send,
+{
+    let n = g.num_users();
     // Scratch is O(users) per worker; pool it so each worker allocates
-    // once for the whole build, not once per chunk.
+    // once for the whole walk, not once per chunk.
     type Workspace = (SimScratch, Vec<(UserId, f64)>);
     let pool: Mutex<Vec<Workspace>> = Mutex::new(Vec::new());
-
-    let mut entries = 0u64;
-    let num_chunks = n.div_ceil(chunk_rows.max(1)).max(if n == 0 { 0 } else { 1 });
-    for c in 0..num_chunks {
-        let lo = c * chunk_rows;
-        let hi = ((c + 1) * chunk_rows).min(n);
-        let _span = socialrec_obs::span!("sim.stream_chunk", rows = hi - lo);
-
-        // Sub-split the chunk so the dynamic scheduler can balance
-        // skewed rows across workers.
-        let workers = rayon::current_num_threads().max(1);
+    let workers = rayon::current_num_threads().max(1);
+    let chunk_rows = chunk_rows.max(1);
+    for lo in (0..count).step_by(chunk_rows) {
+        let hi = count.min(lo + chunk_rows);
+        let _span = socialrec_obs::span!("sim.row_chunk", rows = hi - lo);
         let sub = (hi - lo).div_ceil(workers * 4).max(16);
         let ranges: Vec<(usize, usize)> =
             (lo..hi).step_by(sub).map(|a| (a, (a + sub).min(hi))).collect();
-
-        // Fill sub-ranges in parallel into split buffers (same shape as
-        // pass 1 of `csr::assemble_csr`), rows ascending within each.
-        let pieces: Vec<(Vec<u64>, Vec<u32>, Vec<f64>)> = ranges
+        let pieces: Vec<(Vec<usize>, Vec<C>, Vec<f64>)> = ranges
             .par_iter()
             .map(|&(a, b)| {
                 let (mut scratch, mut row) = pool
@@ -96,34 +127,30 @@ pub fn write_similarity_artifact_streaming<S: Similarity + ?Sized>(
                     .expect("scratch pool")
                     .pop()
                     .unwrap_or_else(|| (SimScratch::new(n), Vec::new()));
-                let mut lens = Vec::with_capacity(b - a);
+                let mut ends = Vec::with_capacity(b - a);
                 let mut cols = Vec::new();
                 let mut vals = Vec::new();
-                for u in a..b {
-                    measure.similarity_set(g, UserId(u as u32), &mut scratch, &mut row);
-                    cols.extend(row.iter().map(|&(v, _)| v.0));
+                for i in a..b {
+                    measure.similarity_set(g, user(i), &mut scratch, &mut row);
+                    cols.extend(row.iter().map(|&(v, _)| col(v)));
                     vals.extend(row.iter().map(|&(_, s)| s));
-                    lens.push(row.len() as u64);
+                    ends.push(cols.len());
                 }
                 pool.lock().expect("scratch pool").push((scratch, row));
-                (lens, cols, vals)
+                (ends, cols, vals)
             })
             .collect();
-
-        // Sub-ranges were generated in ascending row order, so pushing
-        // them in sequence preserves the global row order.
-        for (lens, cols, vals) in &pieces {
-            let mut at = 0usize;
-            for &len in lens {
-                let len = len as usize;
-                writer.push_row(&cols[at..at + len], &vals[at..at + len])?;
-                at += len;
-                entries += len as u64;
+        // Sub-ranges were generated in ascending row order, so handing
+        // them over in sequence preserves the global row order.
+        for (ends, cols, vals) in &pieces {
+            let mut at = 0;
+            for &end in ends {
+                sink(&cols[at..end], &vals[at..end])?;
+                at = end;
             }
         }
     }
-    writer.finish()?;
-    Ok(StreamBuildStats { num_rows: n, num_entries: entries, chunks: num_chunks })
+    Ok(count.div_ceil(chunk_rows))
 }
 
 #[cfg(test)]
