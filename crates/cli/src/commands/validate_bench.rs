@@ -75,12 +75,12 @@ const REQUIRED_TUNE_KEYS: [&str; 7] = [
 const REQUIRED_HOTSPOT_KEYS: [&str; 5] =
     ["\"span\"", "\"total_ms\"", "\"mean_us\"", "\"p99_us\"", "\"max_us\""];
 
-/// Fields the `serve_metrics` block (a `MetricsSnapshot` via `ToJson`)
-/// must carry — the recommend stage's serving counters and the
-/// log₂-histogram latency roll-up (`*_p99_ns` ≤ `*_max_ns` by the
-/// clamped-quantile contract).
-const REQUIRED_METRICS_KEYS: [&str; 5] =
-    ["\"queries\"", "\"batches\"", "\"query_p99_ns\"", "\"query_max_ns\"", "\"batch_max_ns\""];
+/// Counters the `serve_metrics` block (the recommend stage's 1-shard
+/// daemon registry, a `RegistrySnapshot` via `ToJson`) must carry. On
+/// top of their presence, the `.queries` counters must add up to the
+/// artifact's `users`: the stage serves every user exactly once.
+const REQUIRED_METRICS_COUNTERS: [&str; 3] =
+    ["serve.shard0.queries", "serve.shard0.kernel_blocks", "serve.shard0.release_swaps"];
 
 /// Fields the pipeline `privacy` block must carry: the per-release ε
 /// from dp's accountant and the observability ledger's view of the run.
@@ -342,10 +342,24 @@ fn validate_pipeline(body: &str) -> Result<(), String> {
             return Err(format!("missing gated stage entry for {stage:?}"));
         }
     }
-    for key in REQUIRED_METRICS_KEYS {
-        if !body.contains(key) {
-            return Err(format!("missing serve_metrics field {key}"));
+    let metrics = object_after(body, "\"serve_metrics\"")
+        .ok_or_else(|| "serve_metrics is not an object".to_string())?;
+    for name in REQUIRED_METRICS_COUNTERS {
+        if !metrics.contains(&format!("[\"{name}\", ")) {
+            return Err(format!("missing serve_metrics counter {name:?}"));
         }
+    }
+    let users = body
+        .split_once("\"users\": ")
+        .and_then(|(_, rest)| leading_uint(rest))
+        .ok_or_else(|| "missing integer \"users\"".to_string())?;
+    let served: u64 =
+        metrics.split(".queries\", ").skip(1).map(|rest| leading_uint(rest).unwrap_or(0)).sum();
+    if served != users {
+        return Err(format!(
+            "serve_metrics .queries counters add up to {served}, but the recommend stage \
+             serves all {users} users exactly once"
+        ));
     }
     for key in REQUIRED_PRIVACY_KEYS {
         if !body.contains(key) {
@@ -390,6 +404,35 @@ fn validate_pipeline(body: &str) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The unsigned integer `s` starts with.
+fn leading_uint(s: &str) -> Option<u64> {
+    let end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
+    s[..end].parse().ok()
+}
+
+/// The balanced `{…}` object that follows the first `key` in `body`.
+fn object_after<'a>(body: &'a str, key: &str) -> Option<&'a str> {
+    let value = body[body.find(key)? + key.len()..].trim_start().strip_prefix(':')?.trim_start();
+    if !value.starts_with('{') {
+        return None;
+    }
+    let open = body.len() - value.len();
+    let mut depth = 0usize;
+    for (i, c) in body[open..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(&body[open..=open + i]);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 fn validate_serve(body: &str) -> Result<(), String> {
@@ -470,8 +513,10 @@ mod tests {
             .iter()
             .map(|s| format!("    {{ \"stage\": \"{s}\", \"speedup\": 1.0 }},\n"))
             .collect();
-        let metrics: String =
-            REQUIRED_METRICS_KEYS.iter().map(|k| format!("    {k}: 1,\n")).collect();
+        let metrics = "    \"counters\": [\n      [\"serve.shard0.kernel_blocks\", 2],\n      \
+                       [\"serve.shard0.queries\", 10],\n      \
+                       [\"serve.shard0.release_swaps\", 1]\n    ],\n    \
+                       \"gauges\": [],\n    \"histograms\": []\n";
         let privacy: String =
             REQUIRED_PRIVACY_KEYS.iter().map(|k| format!("    {k}: 1,\n")).collect();
         let formulations: String = REQUIRED_FORMULATIONS
@@ -583,6 +628,26 @@ mod tests {
         assert_eq!(validate(&valid_serve_body()).unwrap(), "serve");
         assert_eq!(validate(&valid_scale_body()).unwrap(), "scale");
         assert_eq!(validate(&valid_update_body()).unwrap(), "update");
+    }
+
+    #[test]
+    fn rejects_pipeline_whose_query_counters_do_not_add_up() {
+        // The recommend stage serves each of the 10 users once.
+        let short =
+            valid_body().replace("[\"serve.shard0.queries\", 10]", "[\"serve.shard0.queries\", 9]");
+        assert!(validate(&short).unwrap_err().contains("add up to 9"));
+        // Split across shards, the counters must still sum to `users`.
+        let split = valid_body().replace(
+            "[\"serve.shard0.queries\", 10]",
+            "[\"serve.shard0.queries\", 6],\n      [\"serve.shard1.queries\", 4]",
+        );
+        assert_eq!(validate(&split).unwrap(), "pipeline");
+        let over = split.replace("[\"serve.shard1.queries\", 4]", "[\"serve.shard1.queries\", 5]");
+        assert!(validate(&over).unwrap_err().contains("add up to 11"));
+        let no_swaps = valid_body().replace("serve.shard0.release_swaps", "serve.shard0.swaps");
+        assert!(validate(&no_swaps).unwrap_err().contains("serve.shard0.release_swaps"));
+        let not_object = valid_body().replace("\"serve_metrics\": {", "\"serve_metrics\": [");
+        assert!(validate(&not_object).unwrap_err().contains("not an object"));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!
 //! Records are written by `release_noisy_cluster_averages_with` in
 //! `socialrec-core` (only when tracing is enabled) and stamped with the
-//! serving layer's cache generation when a `ReleaseCache` rebuild
-//! consumes the release.
+//! serving daemon's release generation when its release exchange
+//! installs the release (an on-miss build or a publish).
 
 use std::sync::{Mutex, OnceLock};
 
@@ -34,9 +34,9 @@ pub struct ReleaseRecord {
     /// Per-cluster spends the accountant folded into `epsilon` (equals
     /// `clusters`; recorded so reports can show the composition).
     pub accounted_releases: u64,
-    /// Serving-cache generation that consumed this release, stamped by
-    /// `RecommendationServer` on a cache rebuild; `None` until (or
-    /// unless) a server consumes it.
+    /// Release generation that consumed this release, stamped by the
+    /// serving daemon when its release exchange installs it; `None`
+    /// until (or unless) a daemon serves it.
     pub generation: Option<u64>,
 }
 

@@ -26,14 +26,11 @@
 //! All locks are poison-recovering, so one panic never bricks the
 //! queue.
 
+use crate::hotswap::lock_recovering;
 use socialrec_core::TopN;
 use socialrec_graph::UserId;
 use socialrec_obs::journal::{self, EventKind};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Arc, Mutex};
 
 /// Where a pending query's answer lands.
 #[derive(Debug, Default)]

@@ -23,13 +23,23 @@
 //!   is a pointer swap under a lock held for nanoseconds, which is the
 //!   epoch flip.
 //!
+//! Generations are keyed by [`release_generation`]: a hash of
+//! everything the release depends on — the partition assignment
+//! ([`partition_fingerprint`]), ε, the noise model, and the RNG seed.
+//! Any change to any of them changes the key and forces a new release;
+//! identical inputs always resolve to the same retained release.
+//!
 //! Ledger discipline: [`ReleaseExchange::get_or_build`] reports whether
 //! *this call* built, so the caller can stamp the privacy ledger
 //! exactly once per new generation no matter how many shards or threads
 //! raced for it.
 
-use socialrec_core::private::framework::NoisyClusterAverages;
+use rustc_hash::FxHasher;
+use socialrec_community::Partition;
+use socialrec_core::private::framework::{NoiseModel, NoisyClusterAverages};
+use socialrec_dp::Epsilon;
 use socialrec_obs::journal::{self, EventKind};
+use std::hash::Hasher;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Generations the exchange keeps alive: the current one plus its
@@ -37,9 +47,45 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 /// release that in-flight queries were admitted under.
 pub const RETAIN_GENERATIONS: usize = 2;
 
+/// Fingerprint of a partition: hash of its full cluster assignment.
+pub fn partition_fingerprint(partition: &Partition) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_usize(partition.num_users());
+    for &c in partition.assignment() {
+        h.write_u32(c);
+    }
+    h.finish()
+}
+
+/// The release generation: a single `u64` identifying one exact noisy
+/// release. Two calls see the same generation iff they agree on the
+/// partition, ε, noise model, and seed.
+pub fn release_generation(
+    partition_fingerprint: u64,
+    epsilon: Epsilon,
+    noise: NoiseModel,
+    seed: u64,
+) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_u64(partition_fingerprint);
+    match epsilon {
+        Epsilon::Finite(e) => {
+            h.write_u8(0);
+            h.write_u64(e.to_bits());
+        }
+        Epsilon::Infinite => h.write_u8(1),
+    }
+    h.write_u8(match noise {
+        NoiseModel::Laplace => 0,
+        NoiseModel::Geometric => 1,
+    });
+    h.write_u64(seed);
+    h.finish()
+}
+
 /// Lock a mutex, recovering from poisoning (the protected state is only
 /// written in consistent steps, so a panicking peer leaves it usable).
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -54,8 +100,32 @@ enum Entry {
 struct ExchangeState {
     /// `(generation, entry)` in build order, newest last.
     entries: Vec<(u64, Entry)>,
-    /// Monotone swap counter: bumped once per completed build.
+    /// Monotone swap counter: bumped once per installed release.
     epoch: u64,
+}
+
+impl ExchangeState {
+    /// Mark `generation` ready with `averages` (appending it unless a
+    /// build claim already holds its slot), flip the epoch, and evict
+    /// the oldest ready generations beyond [`RETAIN_GENERATIONS`] —
+    /// never an in-flight build.
+    fn install(&mut self, generation: u64, averages: Arc<NoisyClusterAverages>) {
+        match self.entries.iter_mut().find(|(g, _)| *g == generation) {
+            Some((_, e)) => *e = Entry::Ready(averages),
+            None => self.entries.push((generation, Entry::Ready(averages))),
+        }
+        self.epoch += 1;
+        let mut ready_count =
+            self.entries.iter().filter(|(_, e)| matches!(e, Entry::Ready(_))).count();
+        self.entries.retain(|(_, e)| {
+            if ready_count > RETAIN_GENERATIONS && matches!(e, Entry::Ready(_)) {
+                ready_count -= 1;
+                false
+            } else {
+                true
+            }
+        });
+    }
 }
 
 /// The daemon-wide, generation-keyed release source. See the module
@@ -123,26 +193,7 @@ impl ReleaseExchange {
         let mut claim = Claim { exchange: self, generation, done: false };
         let averages = Arc::new(build());
         claim.done = true;
-        let mut state = lock_recovering(&self.state);
-        for (g, e) in state.entries.iter_mut() {
-            if *g == generation {
-                *e = Entry::Ready(Arc::clone(&averages));
-            }
-        }
-        state.epoch += 1;
-        // Evict the oldest Ready generations beyond the retention
-        // window; never evict an in-flight build.
-        let mut ready_count =
-            state.entries.iter().filter(|(_, e)| matches!(e, Entry::Ready(_))).count();
-        state.entries.retain(|(_, e)| {
-            if ready_count > RETAIN_GENERATIONS && matches!(e, Entry::Ready(_)) {
-                ready_count -= 1;
-                false
-            } else {
-                true
-            }
-        });
-        drop(state);
+        lock_recovering(&self.state).install(generation, Arc::clone(&averages));
         self.ready.notify_all();
         journal::emit(EventKind::ReleasePublished, generation, 0);
         (averages, true)
@@ -165,18 +216,7 @@ impl ReleaseExchange {
         if state.entries.iter().any(|(g, _)| *g == generation) {
             return false;
         }
-        state.entries.push((generation, Entry::Ready(averages)));
-        state.epoch += 1;
-        let mut ready_count =
-            state.entries.iter().filter(|(_, e)| matches!(e, Entry::Ready(_))).count();
-        state.entries.retain(|(_, e)| {
-            if ready_count > RETAIN_GENERATIONS && matches!(e, Entry::Ready(_)) {
-                ready_count -= 1;
-                false
-            } else {
-                true
-            }
-        });
+        state.install(generation, averages);
         drop(state);
         self.ready.notify_all();
         journal::emit(EventKind::ReleasePublished, generation, 0);
@@ -243,10 +283,26 @@ impl EpochCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use socialrec_community::Partition;
     use socialrec_core::private::framework::release_noisy_cluster_averages;
-    use socialrec_dp::Epsilon;
     use socialrec_graph::preference::preference_graph_from_edges;
+
+    #[test]
+    fn generation_separates_every_input() {
+        let p1 = partition_fingerprint(&Partition::singletons(4));
+        let p2 = partition_fingerprint(&Partition::one_cluster(4));
+        assert_ne!(p1, p2);
+        let base = release_generation(p1, Epsilon::Finite(0.5), NoiseModel::Laplace, 7);
+        assert_eq!(base, release_generation(p1, Epsilon::Finite(0.5), NoiseModel::Laplace, 7));
+        for other in [
+            release_generation(p2, Epsilon::Finite(0.5), NoiseModel::Laplace, 7),
+            release_generation(p1, Epsilon::Finite(0.6), NoiseModel::Laplace, 7),
+            release_generation(p1, Epsilon::Infinite, NoiseModel::Laplace, 7),
+            release_generation(p1, Epsilon::Finite(0.5), NoiseModel::Geometric, 7),
+            release_generation(p1, Epsilon::Finite(0.5), NoiseModel::Laplace, 8),
+        ] {
+            assert_ne!(base, other);
+        }
+    }
 
     fn tiny_release(seed: u64) -> NoisyClusterAverages {
         let partition = Partition::from_assignment(&[0, 0, 1]);

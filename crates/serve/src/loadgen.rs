@@ -1,4 +1,4 @@
-//! Load-generator primitives for `serve-bench`.
+//! Load-generator primitives for `serve-bench` and `update-bench`.
 //!
 //! The serving daemon is judged under realistic request mixes, which
 //! the vendored `rand` (a plain xoshiro256++) cannot synthesize on its
@@ -9,6 +9,9 @@
 //!   exactly the regime where per-shard coalescing pays: hot shards see
 //!   deep admission queues. Sampling is inverse-CDF over precomputed
 //!   cumulative weights `(k+1)^-s`, one binary search per draw.
+//!   [`Zipf::sample_user`] spreads the popularity ranks over the user
+//!   id space, so the skew is in *how often* a user is drawn, not in
+//!   *which part of the id range* is hot.
 //! * [`poisson_interarrival`] — open-loop arrivals. Closed-loop driving
 //!   (every client fires as fast as the server answers) hides queueing
 //!   delay; an open loop with exponential inter-arrival times at a
@@ -19,6 +22,7 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
+use socialrec_graph::UserId;
 
 /// A Zipf-like popularity distribution over `0..n` with exponent `s`:
 /// `P(k) ∝ (k + 1)^-s`. `s = 0` is uniform; `s ≈ 1` is classic web-load
@@ -54,6 +58,16 @@ impl Zipf {
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
 
+    /// Draw one user id in `0..n`: a rank spread over the id space with
+    /// a multiplicative hash. Popularity stays Zipf-skewed (the same few
+    /// users keep coming back), but *which* users are hot is independent
+    /// of id order. The raw rank would put the whole head on the lowest
+    /// ids — on the first contiguous serving shard, and on the synthetic
+    /// generators' planted hubs.
+    pub fn sample_user(&self, rng: &mut SmallRng) -> UserId {
+        UserId(spread_rank(self.sample(rng), self.len()) as u32)
+    }
+
     /// Support size.
     pub fn len(&self) -> usize {
         self.cdf.len()
@@ -63,6 +77,11 @@ impl Zipf {
     pub fn is_empty(&self) -> bool {
         self.cdf.is_empty()
     }
+}
+
+/// The user id rank `rank` of a population of `n` maps to.
+fn spread_rank(rank: usize, n: usize) -> usize {
+    ((rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % n as u64) as usize
 }
 
 /// One exponential inter-arrival gap, in seconds, for a Poisson process
@@ -122,6 +141,40 @@ mod tests {
         }
         for &c in &counts {
             assert!((1600..2400).contains(&c), "uniform draw skewed: {counts:?}");
+        }
+    }
+
+    /// Expected query mass per contiguous shard, from the exact Zipf
+    /// probabilities, at `flixster_like(0.15)`'s population.
+    fn shard_mass(map: impl Fn(usize, usize) -> usize) -> Vec<f64> {
+        const USERS: usize = 20_606;
+        const SHARDS: usize = 4;
+        let z = Zipf::new(USERS, 1.0);
+        let chunk = USERS.div_ceil(SHARDS);
+        let mut mass = vec![0.0; SHARDS];
+        let mut prev = 0.0;
+        for (rank, &c) in z.cdf.iter().enumerate() {
+            mass[map(rank, USERS) / chunk] += c - prev;
+            prev = c;
+        }
+        mass
+    }
+
+    #[test]
+    fn sampled_users_spread_across_contiguous_shards() {
+        let max_share = |m: Vec<f64>| m.into_iter().fold(0.0, f64::max);
+        let raw = max_share(shard_mass(|rank, _| rank));
+        assert!(raw > 0.85, "raw ranks pile onto shard 0: {raw}");
+        let spread = max_share(shard_mass(spread_rank));
+        assert!(spread <= 0.5, "one shard takes {spread} of the expected load");
+
+        // `sample_user` draws through exactly this mapping.
+        let z = Zipf::new(100, 1.0);
+        let (mut a, mut b) = (SmallRng::seed_from_u64(5), SmallRng::seed_from_u64(5));
+        for _ in 0..1000 {
+            let want = spread_rank(z.sample(&mut b), 100);
+            assert_eq!(z.sample_user(&mut a), UserId(want as u32));
+            assert!(want < 100);
         }
     }
 

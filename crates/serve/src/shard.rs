@@ -39,9 +39,8 @@
 //! this module is bit-identical to `ClusterFramework::recommend` — the
 //! serving layer adds zero accuracy loss on top of DP noise.
 
-use crate::cache::{partition_fingerprint, release_generation};
 use crate::coalesce::{AdmissionQueue, PendingQuery};
-use crate::hotswap::{EpochCell, ReleaseExchange};
+use crate::hotswap::{partition_fingerprint, release_generation, EpochCell, ReleaseExchange};
 use crate::kernel;
 use crate::SimMassIndex;
 use rayon::prelude::*;
@@ -527,13 +526,39 @@ mod tests {
         let sim = SimilarityMatrix::build(&s, &Measure::AdamicAdar);
         let inputs = RecommenderInputs { prefs: &p, sim: &sim };
         let partition = Partition::one_cluster(6);
-        let daemon = ShardedServer::new(&partition, &sim, Epsilon::Infinite, 3);
         let users: Vec<UserId> = (0..6).map(UserId).collect();
-        let batch = daemon.recommend_batch(&inputs, &users, 2, 0);
-        for &u in &users {
-            let single = daemon.recommend_one(&inputs, u, 2, 0);
-            let row = batch.iter().find(|t| t.user == u).unwrap();
-            assert_bits(std::slice::from_ref(&single), std::slice::from_ref(row));
+        for num_shards in [1, 3] {
+            let daemon = ShardedServer::new(&partition, &sim, Epsilon::Infinite, num_shards);
+            let batch = daemon.recommend_batch(&inputs, &users, 2, 0);
+            for &u in &users {
+                let single = daemon.recommend_one(&inputs, u, 2, 0);
+                let row = batch.iter().find(|t| t.user == u).unwrap();
+                assert_bits(std::slice::from_ref(&single), std::slice::from_ref(row));
+            }
+            assert_eq!(daemon.exchange().epoch(), 1, "singles share the batch's release");
+        }
+    }
+
+    #[test]
+    fn batch_with_ragged_and_oversized_blocks_matches_framework() {
+        // 6 users with USER_BLOCK = 8: a single ragged block per shard;
+        // also ask for more items than exist (n > num_items) through the
+        // blocked kernel path.
+        let (s, p) = fixture();
+        let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
+        let inputs = RecommenderInputs { prefs: &p, sim: &sim };
+        let partition = Partition::from_assignment(&[0, 1, 0, 1, 0, 1]);
+        let users: Vec<UserId> = (0..6).map(UserId).collect();
+        let fw = ClusterFramework::new(&partition, Epsilon::Finite(0.3));
+        let want = fw.recommend(&inputs, &users, 100, 7);
+        for num_shards in [1, 4] {
+            let daemon = ShardedServer::new(&partition, &sim, Epsilon::Finite(0.3), num_shards);
+            let got = daemon.recommend_batch(&inputs, &users, 100, 7);
+            assert_bits(&got, &want);
+            assert!(
+                got.iter().all(|t| t.items.len() == 4),
+                "n > num_items clamps to the item count"
+            );
         }
     }
 

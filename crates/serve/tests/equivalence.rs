@@ -1,10 +1,10 @@
-//! The serving contract: every serving path — `RecommendationServer`'s
-//! batches, and the sharded daemon's fan-out and coalescing admission —
-//! must be **bit-identical** to `ClusterFramework::recommend`: same
-//! items, same order, same utility bits, across seeds, noise models,
-//! and degenerate partitions. The index, release cache, shard slices,
-//! and admission batching are pure post-processing rearrangements, so
-//! any divergence is a bug.
+//! The serving contract: every path through the sharded daemon — its
+//! batch fan-out across shards and its coalescing admission — must be
+//! **bit-identical** to `ClusterFramework::recommend`: same items, same
+//! order, same utility bits, across seeds, ε, noise models, shard
+//! counts, and degenerate partitions. The index, release exchange, shard
+//! slices, and admission batching are pure post-processing
+//! rearrangements, so any divergence is a bug.
 
 use socialrec_community::{ClusteringStrategy, LouvainStrategy, Partition};
 use socialrec_core::private::framework::{ClusterFramework, NoiseModel};
@@ -12,7 +12,7 @@ use socialrec_core::{RecommenderInputs, TopN, TopNRecommender};
 use socialrec_datasets::lastfm_like_scaled;
 use socialrec_dp::Epsilon;
 use socialrec_graph::UserId;
-use socialrec_serve::{RecommendationServer, ShardedServer};
+use socialrec_serve::ShardedServer;
 use socialrec_similarity::{Measure, SimilarityMatrix};
 
 fn assert_bit_identical(got: &[TopN], want: &[TopN]) {
@@ -33,55 +33,21 @@ fn assert_bit_identical(got: &[TopN], want: &[TopN]) {
 }
 
 #[test]
-fn batch_serving_is_bit_identical_to_framework() {
-    let ds = lastfm_like_scaled(0.08, 13);
-    let sim = SimilarityMatrix::build(&ds.social, &Measure::CommonNeighbors);
-    let inputs = RecommenderInputs { prefs: &ds.prefs, sim: &sim };
-    let n_users = ds.social.num_users();
-    let users: Vec<UserId> = (0..n_users as u32).map(UserId).collect();
-
-    let louvain = LouvainStrategy::default().cluster(&ds.social);
-    let partitions: Vec<(&str, Partition)> = vec![
-        ("louvain", louvain),
-        ("singletons", Partition::singletons(n_users)),
-        ("one_cluster", Partition::one_cluster(n_users)),
-    ];
-
-    for (name, partition) in &partitions {
-        for noise in [NoiseModel::Laplace, NoiseModel::Geometric] {
-            for epsilon in [Epsilon::Finite(0.5), Epsilon::Finite(0.05), Epsilon::Infinite] {
-                let server = RecommendationServer::new(partition, &sim, epsilon).with_noise(noise);
-                let fw = ClusterFramework::new(partition, epsilon).with_noise(noise);
-                for seed in [0u64, 1, 0xDEAD_BEEF] {
-                    let got = server.recommend_batch(&inputs, &users, 10, seed);
-                    let want = fw.recommend(&inputs, &users, 10, seed);
-                    assert_bit_identical(&got, &want);
-                    // Same generation again: served from cache, still
-                    // identical.
-                    let again = server.recommend_batch(&inputs, &users, 10, seed);
-                    assert_bit_identical(&again, &want);
-                }
-                let snap = server.metrics().snapshot();
-                assert_eq!(snap.cache_rebuilds, 3, "{name}: one rebuild per distinct seed");
-                assert_eq!(snap.cache_hits, 3, "{name}: repeat batches must hit");
-            }
-        }
-    }
-}
-
-#[test]
 fn partial_and_reordered_batches_still_match() {
     let ds = lastfm_like_scaled(0.05, 99);
     let sim = SimilarityMatrix::build(&ds.social, &Measure::AdamicAdar);
     let inputs = RecommenderInputs { prefs: &ds.prefs, sim: &sim };
     let partition = LouvainStrategy::default().cluster(&ds.social);
     let fw = ClusterFramework::new(&partition, Epsilon::Finite(0.2));
-    let server = RecommendationServer::new(&partition, &sim, Epsilon::Finite(0.2));
+    let daemon = ShardedServer::new(&partition, &sim, Epsilon::Finite(0.2), 4);
 
-    // A scattered, unsorted, repeating subset of users.
+    // A scattered, unsorted, repeating subset of users: the batch is
+    // routed to every shard and reassembled in request order.
     let n = ds.social.num_users() as u32;
     let users: Vec<UserId> = [n - 1, 3, 17 % n, 3, 0, n / 2].into_iter().map(UserId).collect();
-    let got = server.recommend_batch(&inputs, &users, 25, 5);
+    let shards: Vec<usize> = users.iter().map(|&u| daemon.shard_of(u)).collect();
+    assert!(shards.contains(&0) && shards.contains(&3), "the batch must cross shards");
+    let got = daemon.recommend_batch(&inputs, &users, 25, 5);
     let want = fw.recommend(&inputs, &users, 25, 5);
     assert_bit_identical(&got, &want);
 }
@@ -100,23 +66,31 @@ fn sharded_daemon_is_bit_identical_to_framework() {
         ("singletons", Partition::singletons(n_users)),
         ("one_cluster", Partition::one_cluster(n_users)),
     ];
+    let seeds = [0u64, 1, 0xDEAD_BEEF];
     for (name, partition) in &partitions {
         for noise in [NoiseModel::Laplace, NoiseModel::Geometric] {
-            let epsilon = Epsilon::Finite(0.3);
-            let fw = ClusterFramework::new(partition, epsilon).with_noise(noise);
-            for num_shards in [1, 4, 7] {
-                let daemon =
-                    ShardedServer::new(partition, &sim, epsilon, num_shards).with_noise(noise);
-                for seed in [0u64, 0xDEAD_BEEF] {
-                    let want = fw.recommend(&inputs, &users, 10, seed);
-                    let got = daemon.recommend_batch(&inputs, &users, 10, seed);
-                    assert_bit_identical(&got, &want);
+            for epsilon in [Epsilon::Finite(0.5), Epsilon::Finite(0.05), Epsilon::Infinite] {
+                let fw = ClusterFramework::new(partition, epsilon).with_noise(noise);
+                let wants: Vec<Vec<TopN>> =
+                    seeds.iter().map(|&seed| fw.recommend(&inputs, &users, 10, seed)).collect();
+                for num_shards in [1, 4, 7] {
+                    let daemon =
+                        ShardedServer::new(partition, &sim, epsilon, num_shards).with_noise(noise);
+                    for (&seed, want) in seeds.iter().zip(&wants) {
+                        let got = daemon.recommend_batch(&inputs, &users, 10, seed);
+                        assert_bit_identical(&got, want);
+                        // Same generation again: served from the
+                        // retained release, still identical.
+                        let again = daemon.recommend_batch(&inputs, &users, 10, seed);
+                        assert_bit_identical(&again, want);
+                    }
+                    assert_eq!(
+                        daemon.exchange().epoch(),
+                        seeds.len() as u64,
+                        "{name}/{epsilon}/{num_shards} shards: one build per distinct seed, \
+                         shared across shards and repeat batches"
+                    );
                 }
-                assert_eq!(
-                    daemon.exchange().epoch(),
-                    2,
-                    "{name}/{num_shards} shards: one build per seed, shared across shards"
-                );
             }
         }
     }
